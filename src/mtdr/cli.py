@@ -4,8 +4,7 @@ Long sample files are CSV with header subject_id,variable,value; variable is
 "response" or "pred1".."predP" and each row carries one raw observation.
 Models are JSON documents with format_version 1 whose floats round-trip
 exactly (shortest-repr serialization).  All commands are deterministic given
-their inputs and the seed; the MTDR_THREADS environment variable may cap
-worker counts but never changes results (execution is serial).
+their inputs and the seed.
 """
 
 from __future__ import annotations
@@ -353,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mtdr",
         description="Distribution-on-distribution regression via transported"
         " Frechet means",
-        epilog="MTDR_THREADS may cap worker counts; results never depend on it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -552,13 +550,6 @@ def cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    threads = os.environ.get("MTDR_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            sys.stderr.write("warning: ignoring invalid MTDR_THREADS\n")
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -14,7 +14,7 @@ of the weights, decreasing the empirical squared-Wasserstein risk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .solvers import (
     IsotonicProblem,
     SimplexLSProblem,
     SimplexWeights,
-    _pava,
     simplex_least_squares,
     simplex_project,
     weighted_isotonic,
@@ -122,8 +121,7 @@ class FitConfig:
     loop once an iteration decreases the objective by less than
     rel_tol * (initial objective); weights below alpha_floor freeze their
     map update; min_slope >= 0 optionally keeps fitted maps strictly
-    increasing; seed is recorded for reproducibility bookkeeping only, the
-    solvers are deterministic.
+    increasing.
     """
 
     t: int = 1000
@@ -131,7 +129,6 @@ class FitConfig:
     rel_tol: float = 1e-8
     alpha_floor: float = 1e-8
     min_slope: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         if self.t < 2 or self.max_outer_iter < 1:
@@ -321,18 +318,13 @@ def _solve_map_update(prob: IsotonicProblem, node_grid: NodeGrid, min_slope: flo
     if min_slope == 0.0:
         return weighted_isotonic(prob)
     # slope floor via the standard shift: subtract min_slope * x, solve the
-    # plain isotonic problem, shift back.  Box clipping afterwards may
+    # plain isotonic problem, shift back.  The shifted problem's box holds
+    # every target, so its clip changes nothing; box clipping afterwards may
     # locally override the floor near the domain ends.
     shift = min_slope * (node_grid.nodes - node_grid.nodes[0])
-    pos = prob.weights > 0.0
     y = prob.targets - shift
-    z = np.empty_like(y)
-    z[pos] = _pava(y[pos], prob.weights[pos])
-    if not np.all(pos):
-        idx = np.where(pos, np.arange(y.size), -1)
-        idx = np.maximum.accumulate(idx)
-        idx[idx < 0] = int(np.argmax(pos))
-        z = z[idx]
+    box = (min(y.min(), prob.lo), max(y.max(), prob.hi))
+    z = weighted_isotonic(IsotonicProblem(y, prob.weights, *box))
     return np.maximum.accumulate(np.clip(z + shift, prob.lo, prob.hi))
 
 
@@ -464,9 +456,7 @@ def fit(
             map_values[k] = _solve_map_update(prob, node_grid, cfg.min_slope)
         B = _design(stacks, node_grid, map_values)
         if fixed_weights is None:
-            alpha = simplex_least_squares(
-                _weight_problem(B, resp, step), x0=alpha
-            ).values
+            alpha = simplex_least_squares(_weight_problem(B, resp, step)).values
         new_risk = _risk(B, alpha, resp, step)
         if new_risk > trajectory[-1]:
             # The map update minimises a node-binned surrogate of the risk,

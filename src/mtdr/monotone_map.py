@@ -58,10 +58,15 @@ class NodeGrid:
 
     @classmethod
     def uniform(cls, domain: Domain, t: int) -> "NodeGrid":
-        """t equal cells with midpoint nodes."""
+        """t equal cells with midpoint nodes.
+
+        The end edges are pinned to the domain ends, which lo + width * t / t
+        can miss by rounding.
+        """
         if t < 2:
             raise ValueError("node grid size must be at least 2")
         edges = domain.lo + domain.width * np.arange(t + 1) / t
+        edges[0], edges[-1] = domain.lo, domain.hi
         nodes = domain.lo + domain.width * (np.arange(t) + 0.5) / t
         return cls(domain, nodes, edges)
 

@@ -252,16 +252,14 @@ class SampleArrays:
 class GeneratedData:
     """One simulated replication.
 
-    train and test hold observed (sampled) quantile grids; train_exact and
-    test_exact hold the underlying exact grids; truth is the generating
-    operator on the same grids.  samples carries the raw draws when
-    requested.
+    train and test hold observed (sampled) quantile grids; test_exact holds
+    the underlying exact test grids; truth is the generating operator on
+    the same grids.  samples carries the raw draws when requested.
     """
 
     train: DataSet
     test: DataSet | None
     truth: MtdrModel
-    train_exact: DataSet
     test_exact: DataSet | None
     samples: SampleArrays | None = None
 
@@ -304,7 +302,8 @@ def generate_dataset(
     Draw order is fixed: Beta parameters per predictor, warp orders, then
     (unless exact) predictor and response uniforms, so outputs are a pure
     function of the generator state.  With exact=True the observed grids
-    are the exact quantile grids and no sampling occurs.
+    are the exact quantile grids and no sampling occurs; otherwise exact
+    grids are computed for the test rows only.
     """
     domain = Domain.unit()
     grid = ProbGrid.midpoint(t)
@@ -322,16 +321,18 @@ def generate_dataset(
     ks = spec.noise.draw(rng, n_total)
 
     levels = grid.levels
+    first = 0 if exact else spec.n  # first row that needs exact grids
+    rows = slice(first, n_total)
     pred_true = [
-        betaincinv(a_par[j][:, None], b_par[j][:, None], levels[None, :])
+        betaincinv(a_par[j][rows, None], b_par[j][rows, None], levels[None, :])
         for j in range(p)
     ]
     comp = alpha[0] * np.broadcast_to(
-        sine_warp(spec.warp_orders[0], levels), (n_total, t)
+        sine_warp(spec.warp_orders[0], levels), (n_total - first, t)
     ).copy()
     for j in range(p):
         comp += alpha[j + 1] * sine_warp(spec.warp_orders[j + 1], pred_true[j])
-    resp_true = _warp_rows(ks, comp)
+    resp_true = _warp_rows(ks[rows], comp)
 
     if exact:
         pred_obs, resp_obs, samples = pred_true, resp_true, None
@@ -367,13 +368,15 @@ def generate_dataset(
 
     tr = slice(0, spec.n)
     te = slice(spec.n, n_total)
+    te_exact = slice(spec.n - first, None)
     train = _dataset([q[tr] for q in pred_obs], resp_obs[tr], domain, grid)
-    train_exact = _dataset([q[tr] for q in pred_true], resp_true[tr], domain, grid)
     test = test_exact = None
     if spec.n_test > 0:
         test = _dataset([q[te] for q in pred_obs], resp_obs[te], domain, grid)
-        test_exact = _dataset([q[te] for q in pred_true], resp_true[te], domain, grid)
-    return GeneratedData(train, test, truth, train_exact, test_exact, samples)
+        test_exact = _dataset(
+            [q[te_exact] for q in pred_true], resp_true[te_exact], domain, grid
+        )
+    return GeneratedData(train, test, truth, test_exact, samples)
 
 
 def rmse(predictions, actuals) -> float:

@@ -2,8 +2,9 @@
 
 Map updates reduce to weighted isotonic regression with box constraints,
 solved exactly by pool-adjacent-violators followed by clipping.  Weight
-updates are least squares over the probability simplex, solved by an
-accelerated projected gradient method with adaptive restart.
+updates are least squares over the probability simplex in p + 1 unknowns,
+solved exactly by enumerating supports and solving each support's
+stationarity system.
 """
 
 from __future__ import annotations
@@ -137,6 +138,10 @@ def simplex_project(v) -> np.ndarray:
     return _project_simplex(v)
 
 
+# largest simplex dimension whose supports simplex_least_squares enumerates
+_MAX_SIMPLEX_DIM = 16
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexLSProblem:
     """Least squares over the simplex in normal-equation form.
@@ -161,7 +166,7 @@ class SimplexLSProblem:
         scale = max(float(np.abs(G).max()), 1.0)
         if np.abs(G - G.T).max() > 1e-10 * scale:
             raise ValueError("gram must be symmetric")
-        if n <= 16 and np.linalg.eigvalsh(G).min() < -1e-10 * scale:
+        if n <= _MAX_SIMPLEX_DIM and np.linalg.eigvalsh(G).min() < -1e-10 * scale:
             raise ValueError("gram must be positive semidefinite")
 
 
@@ -197,136 +202,50 @@ class SimplexWeights:
         return self.values.size
 
 
-def _largest_eigenvalue(G: np.ndarray) -> float:
-    """Power iteration estimate of the top eigenvalue of a PSD matrix."""
-    n = G.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(500):
-        w = G @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new = float(v @ (G @ v))
-        if abs(new - lam) <= 1e-13 * max(abs(new), 1.0):
-            return new
-        lam = new
-    return lam
+def simplex_least_squares(prob: SimplexLSProblem) -> SimplexWeights:
+    """Minimize a' G a - 2 c' a over the simplex by support enumeration.
 
+    Some minimizer has a minimal support S whose stationarity system
 
-def _active_set_candidate(G: np.ndarray, c: np.ndarray):
-    """Near-exact simplex least squares by support enumeration, or None.
+        [2 G_SS  1] [a_S]   [2 c_S]
+        [1'      0] [lam] = [1    ]
 
-    For each candidate support solve the equality-constrained stationarity
-    system and keep primal feasible points, preferring those that also pass
-    the dual feasibility certificate; return the kept point with the
-    smallest objective.  On well-conditioned problems the certified winner
-    is the exact solution; on nearly singular ones the best uncertified
-    point is still a good warm start for the projected-gradient polish.
-    Affordable because the weight vectors here are short.
+    is nonsingular, and its solution is that minimizer.  So solving the
+    system for every nonempty support, keeping the solutions that are
+    primal feasible (up to roundoff, then clipped and renormalized onto the
+    simplex) and returning the one with the least objective is exact.
+    Every kept candidate is a point of the simplex, and singleton supports
+    always solve, so the vertices are always candidates; this covers one
+    column and a zero Gram matrix.  The cost is 2^n small solves, so
+    dimensions above 16 are refused.
     """
+    G, c = prob.gram, prob.lin
     n = c.size
-    if n > 12:
-        return None
-    scale = max(float(np.abs(G).max()), float(np.abs(c).max()), 1.0)
-    feas_tol = 1e-9 * scale
-    best = {True: None, False: None}
-    best_obj = {True: np.inf, False: np.inf}
+    if n > _MAX_SIMPLEX_DIM:
+        raise ValueError(
+            f"simplex least squares enumerates supports; dimension {n}"
+            f" exceeds the limit of {_MAX_SIMPLEX_DIM}"
+        )
+    feas_tol = 1e-9 * max(float(np.abs(G).max()), float(np.abs(c).max()), 1.0)
+    best, best_obj = None, np.inf
     for mask in range(1, 1 << n):
         support = [j for j in range(n) if mask >> j & 1]
         k = len(support)
-        sys_mat = np.empty((k + 1, k + 1))
+        sys_mat = np.zeros((k + 1, k + 1))
         sys_mat[:k, :k] = 2.0 * G[np.ix_(support, support)]
         sys_mat[:k, k] = 1.0
         sys_mat[k, :k] = 1.0
-        sys_mat[k, k] = 0.0
-        rhs = np.concatenate((2.0 * c[support], [1.0]))
+        rhs = np.append(2.0 * c[support], 1.0)
         try:
-            sol = np.linalg.solve(sys_mat, rhs)
+            a_s = np.linalg.solve(sys_mat, rhs)[:k]
         except np.linalg.LinAlgError:
             continue
-        if not np.all(np.isfinite(sol)):
-            continue
-        a_s, lam = sol[:k], sol[k]
-        if a_s.min() < -feas_tol:
+        if not np.all(np.isfinite(a_s)) or a_s.min() < -feas_tol:
             continue
         a = np.zeros(n)
         a[support] = np.maximum(a_s, 0.0)
         a /= a.sum()
-        grad = 2.0 * (G @ a - c)
-        certified = not np.any(grad + lam < -feas_tol)
         obj = float(a @ (G @ a) - 2.0 * (c @ a))
-        if obj < best_obj[certified]:
-            best[certified], best_obj[certified] = a, obj
-    return best[True] if best[True] is not None else best[False]
-
-
-def simplex_least_squares(
-    prob: SimplexLSProblem,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    x0=None,
-) -> SimplexWeights:
-    """Minimize a' G a - 2 c' a over the simplex by accelerated projection.
-
-    Uses step 1/L with L the top eigenvalue of G (power iteration), momentum
-    with restart whenever the objective would increase, and stops once the
-    projected-gradient norm falls below tol times the problem scale (the
-    largest magnitude in G and c, floored at one), which keeps the stopping
-    rule invariant under rescaling the data.  The iteration is warm-started
-    from an exact active-set solve when the problem is small enough (the
-    projected-gradient loop then serves as the optimality certificate), from
-    x0 when given, and from the uniform vector otherwise.
-    """
-    G, c = prob.gram, prob.lin
-    n = c.size
-    pg_tol = tol * max(float(np.abs(G).max()), float(np.abs(c).max()), 1.0)
-    if n == 1:
-        return SimplexWeights(np.ones(1))
-    L = _largest_eigenvalue(G) * (1.0 + 1e-6)
-    if L <= 0.0:
-        # degenerate quadratic: objective is linear, optimum at a vertex
-        out = np.zeros(n)
-        out[int(np.argmax(c))] = 1.0
-        return SimplexWeights(out)
-    step = 1.0 / L
-
-    def objective(a):
-        return float(a @ (G @ a) - 2.0 * (c @ a))
-
-    x = _active_set_candidate(G, c)
-    if x is None:
-        if x0 is None:
-            x = np.full(n, 1.0 / n)
-        else:
-            x = _project_simplex(np.asarray(x0, dtype=float))
-    y = x
-    fx = objective(x)
-    t_momentum = 1.0
-    for _ in range(max_iter):
-        x_new = _project_simplex(y - step * 2.0 * (G @ y - c))
-        f_new = objective(x_new)
-        if f_new > fx:
-            # momentum overshoot: restart from the last iterate
-            t_momentum = 1.0
-            x_new = _project_simplex(x - step * 2.0 * (G @ x - c))
-            f_new = objective(x_new)
-            halvings = 0
-            while f_new > fx + 1e-18 * max(abs(fx), 1.0) and halvings < 100:
-                step *= 0.5
-                halvings += 1
-                x_new = _project_simplex(x - step * 2.0 * (G @ x - c))
-                f_new = objective(x_new)
-            if f_new > fx:
-                # a gradient step of 1/L cannot increase a convex quadratic
-                # in exact arithmetic, so any remaining increase is roundoff:
-                # the iteration has hit floating point stagnation
-                break
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-        y = x_new + ((t_momentum - 1.0) / t_next) * (x_new - x)
-        x, fx, t_momentum = x_new, f_new, t_next
-        pg = (x - _project_simplex(x - step * 2.0 * (G @ x - c))) / step
-        if float(pg @ pg) < pg_tol * pg_tol:
-            break
-    return SimplexWeights(_project_simplex(x))
+        if obj < best_obj:
+            best, best_obj = a, obj
+    return SimplexWeights(best)

@@ -258,6 +258,29 @@ class TestCliFitPredictEvaluate:
         assert model.p == 1
         assert report is not None and report.trajectory.size >= 1
 
+    def test_fit_on_domain_whose_grid_end_rounds(self, tmp_path):
+        # lo + width * t / t misses hi by rounding for this domain and t
+        domain = Domain(-1.0, 0.9)
+        pred, resp = small_samples(n=4, m=10, seed=38)
+        data = tmp_path / "train.csv"
+        write_long_csv(data, domain.lo + domain.width * pred,
+                       domain.lo + domain.width * resp)
+        out = tmp_path / "model.json"
+        code = cli(
+            [
+                "fit",
+                "--data", str(data),
+                "--p", "1",
+                "--domain=-1,0.9",
+                "--t", "50",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        model, _ = load_model(str(out))
+        assert model.node_grid.edges[0] == -1.0
+        assert model.node_grid.edges[-1] == 0.9
+
     def test_fixed_weights_respected(self, tmp_path):
         data = tmp_path / "train.csv"
         sample_csv(data, seed=32)
@@ -609,34 +632,3 @@ class TestExitCodes:
 
     def test_console_script_installed(self):
         assert shutil.which("mtdr") is not None
-
-
-class TestThreadsEnv:
-    def evaluate_args(self, tmp_path):
-        model_path = tmp_path / "model.json"
-        save_model(str(model_path), identity_model(t=10))
-        rows = []
-        for x in (0.2, 0.4, 0.6):
-            rows.append(["a", "pred1", repr(x)])
-            rows.append(["a", "response", repr(x)])
-        data = tmp_path / "d.csv"
-        write_rows(data, rows)
-        return ["evaluate", "--model", str(model_path), "--data", str(data)]
-
-    def test_invalid_value_warns_and_continues(self, tmp_path, capsys, monkeypatch):
-        args = self.evaluate_args(tmp_path)
-        for bad in ("abc", "0", "-2"):
-            monkeypatch.setenv("MTDR_THREADS", bad)
-            code = cli(args)
-            captured = capsys.readouterr()
-            assert code == 0
-            assert "ignoring invalid MTDR_THREADS" in captured.err
-            assert captured.out == "0.0\n"
-
-    def test_valid_value_is_silent(self, tmp_path, capsys, monkeypatch):
-        args = self.evaluate_args(tmp_path)
-        monkeypatch.setenv("MTDR_THREADS", "4")
-        code = cli(args)
-        captured = capsys.readouterr()
-        assert code == 0
-        assert captured.err == ""

@@ -253,6 +253,26 @@ class TestFit:
         model, _ = fit(gen.train, 1, gen.truth.reference, fixed_weights=fixed)
         assert np.array_equal(model.weights.values, fixed.values)
 
+    def test_min_slope_floors_interior_slopes(self):
+        gen = noiseless_exact_data(alpha1=0.5, n=30, t=60, seed=5)
+        ref = gen.truth.reference
+        floored, _ = fit(gen.train, 1, ref, cfg=FitConfig(t=60, min_slope=0.5))
+        for T in floored.maps:
+            z, x = T.values, T.grid.nodes
+            dom = T.grid.domain
+            slopes = np.diff(z) / np.diff(x)
+            # box clipping may override the floor where a map meets the ends
+            interior = (z[:-1] > dom.lo) & (z[1:] < dom.hi)
+            assert interior.sum() > 50
+            assert np.all(slopes[interior] >= 0.5 * (1.0 - 1e-9))
+        # the true order-4 warp is flat in places, so the floor binds
+        plain, _ = fit(gen.train, 1, ref, cfg=FitConfig(t=60))
+        assert np.diff(plain.maps[0].values).min() < 0.5 * np.diff(x).min()
+        zero, _ = fit(gen.train, 1, ref, cfg=FitConfig(t=60, min_slope=0.0))
+        assert np.array_equal(zero.weights.values, plain.weights.values)
+        for a, b in zip(zero.maps, plain.maps):
+            assert np.array_equal(a.values, b.values)
+
     def test_permutation_equivariance(self):
         spec = multi_predictor_scenario(
             n=40, m=1, reps=1, seed=21, noise=NoiseSpec.none(), test_fraction=0.0

@@ -189,12 +189,6 @@ class TestSimplexLeastSquares:
         out = simplex_least_squares(prob)
         assert np.max(np.abs(out.values - np.array([0.0, 1.0]))) < 1e-8
 
-    def test_warm_start_does_not_change_answer(self, rng):
-        prob, _, _ = random_psd_problem(rng, 3)
-        cold = simplex_least_squares(prob)
-        warm = simplex_least_squares(prob, x0=np.array([0.9, 0.05, 0.05]))
-        assert np.allclose(cold.values, warm.values, atol=1e-8)
-
     def test_beats_vertices_and_uniform(self, rng):
         for _ in range(10):
             prob, _, _ = random_psd_problem(rng, 4)
@@ -228,3 +222,33 @@ class TestSimplexLeastSquares:
         ours = float(out @ prob.gram @ out - 2.0 * prob.lin @ out)
         grid_best = dense_simplex_minima([prob.gram], [prob.lin], 0.01)[0]
         assert ours <= grid_best + 1e-9
+
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    def test_kkt_certificate_beyond_lattice_oracle(self, rng, n):
+        # optimality on the simplex: the gradient is smallest, and equal,
+        # on the support of the solution
+        dup_cols = rng.normal(size=(8, n))
+        dup_cols[:, 1] = dup_cols[:, 0]
+        problems = [
+            random_psd_problem(rng, n)[0],
+            random_psd_problem(rng, n, cols=n // 2)[0],
+            SimplexLSProblem(dup_cols.T @ dup_cols, dup_cols.T @ rng.normal(size=8)),
+            SimplexLSProblem(np.zeros((n, n)), rng.normal(size=n)),
+        ]
+        for prob in problems:
+            G, c = prob.gram, prob.lin
+            a = simplex_least_squares(prob).values
+            scale = max(np.abs(G).max(), np.abs(c).max(), 1.0)
+            grad = 2.0 * (G @ a - c)
+            support = a > 0.0
+            assert np.all(grad[support] - grad.min() <= 1e-9 * scale)
+
+    def test_zero_gram_picks_largest_linear_term(self):
+        c = np.array([0.1, 0.7, -0.2, 0.7])
+        out = simplex_least_squares(SimplexLSProblem(np.zeros((4, 4)), c))
+        assert np.array_equal(out.values, [0.0, 1.0, 0.0, 0.0])
+
+    def test_dimension_above_cap_raises(self):
+        prob = SimplexLSProblem(np.eye(17), np.ones(17))
+        with pytest.raises(ValueError, match="exceeds the limit of 16"):
+            simplex_least_squares(prob)
