@@ -3,8 +3,8 @@
 Responses and predictors are probability measures on a common compact
 interval, represented by quantile grids.  The regression operator transports
 each predictor (and a fixed reference) by a monotone map and mixes the
-results with simplex weights; fitting alternates exact isotonic map updates
-with simplex-constrained least squares.
+results with simplex weights; fitting alternates majorize-minimize isotonic
+map steps with simplex-constrained least squares.
 """
 
 from .quantile_core import (

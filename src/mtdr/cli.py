@@ -408,6 +408,7 @@ def _cmd_simulate(args) -> int:
         if len(args.alpha) == 1:
             alpha1 = args.alpha[0]
         elif len(args.alpha) == 2:
+            SimplexWeights.of(args.alpha)  # rejects pairs off the simplex
             alpha1 = args.alpha[1]
         else:
             raise ValueError("single scenario takes 1 or 2 alpha values")
@@ -460,6 +461,10 @@ def _cmd_simulate(args) -> int:
         "t": args.t,
         "noise_orders": list(spec.noise.support),
         "metrics": summary.metrics,
+        "replications": [
+            {"iterations": r.iterations, "converged": r.converged}
+            for r in summary.results
+        ],
     }
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

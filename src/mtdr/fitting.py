@@ -7,9 +7,13 @@ vector is
 
     q_hat = sum_j weight_j * T_j(q_j),    j = 0 .. p,
 
-where q_0 is the reference quantile vector.  Fitting alternates exact
-isotonic updates of each map with a simplex-constrained least squares update
-of the weights, decreasing the empirical squared-Wasserstein risk.
+where q_0 is the reference quantile vector.  Reading a map at a quantile
+stack is a fixed linear interpolation of its node values, so for fixed
+weights the empirical squared-Wasserstein risk is a quadratic in each map's
+node values, and for fixed maps a quadratic in the weights.  Fitting
+alternates a majorize-minimize step for each map (one weighted isotonic
+regression) with an exact simplex least squares step for the weights;
+neither step raises the risk.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from .quantile_core import (
     QuantileGrid,
     _guard_monotone,
     _readonly,
-    cdf_at,
-    quantile_at,
     wasserstein_distance,
 )
 from .solvers import (
@@ -142,8 +144,11 @@ class FitReport:
     """Objective trajectory of one fit.
 
     trajectory[0] is the risk after initialization, one entry per outer
-    iteration follows.  The trajectory is nonincreasing up to a slack of
-    1e-6 times the initial objective.
+    iteration follows.  Every step of the fit is a descent step, so the
+    trajectory is nonincreasing up to rounding; construction rejects an
+    increase beyond 1e-6 times the initial objective.  converged is True
+    when the last iteration decreased the risk by at most rel_tol times
+    the initial objective, False when the fit stopped at max_outer_iter.
     """
 
     trajectory: np.ndarray
@@ -212,14 +217,37 @@ class MtdrModel:
         return self.maps[0].grid
 
 
-# -- internal evaluation on stacked arrays --------------------------------
+# -- the interpolation operator and the two block steps -------------------
 
 
-def _map_knots(node_grid: NodeGrid, values: np.ndarray):
-    dom = node_grid.domain
-    x_ext = np.concatenate(([dom.lo], node_grid.nodes, [dom.hi]))
-    z_ext = np.concatenate(([dom.lo], values, [dom.hi]))
-    return x_ext, z_ext
+class _Interp:
+    """Reading a map at fixed points, as a linear operator on its knots.
+
+    A map's value at a point q is linear in its knot values z_ext =
+    (lo, z, hi): with q in knot segment s at fraction f, it is
+    z_ext[s] + f (z_ext[s+1] - z_ext[s]).  One searchsorted fixes s and f
+    for a whole quantile stack.  The adjoint is two bincounts, and mass,
+    the adjoint applied to ones and restricted to the nodes, is the
+    interpolation weight each node carries.
+    """
+
+    def __init__(self, x_ext: np.ndarray, points: np.ndarray):
+        q = np.ravel(points)
+        self.size = x_ext.size
+        self.s = np.clip(np.searchsorted(x_ext, q, side="right") - 1, 0, self.size - 2)
+        self.s1 = self.s + 1
+        self.f = (q - x_ext[self.s]) / (x_ext[self.s1] - x_ext[self.s])
+        self.mass = self.adjoint(np.ones(q.size))[1:-1]
+
+    def __call__(self, z_ext: np.ndarray) -> np.ndarray:
+        base = z_ext[self.s]
+        return base + self.f * (z_ext[self.s1] - base)
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        fv = self.f * v
+        return np.bincount(self.s, v - fv, minlength=self.size) + np.bincount(
+            self.s1, fv, minlength=self.size
+        )
 
 
 def _predictor_stacks(data: DataSet, reference: QuantileGrid) -> list:
@@ -232,100 +260,70 @@ def _predictor_stacks(data: DataSet, reference: QuantileGrid) -> list:
 
 
 def _response_stack(data: DataSet) -> np.ndarray:
+    """Response quantiles of all subjects, flattened to one vector."""
     if not data.has_responses:
         raise ValueError("dataset lacks responses")
-    return np.stack([s.response.values for s in data.subjects])
+    return np.concatenate([s.response.values for s in data.subjects])
 
 
-def _design(stacks, node_grid: NodeGrid, map_values) -> np.ndarray:
-    """Transported quantile stacks B[j] = T_j(Q[j]), shape (p+1, n, t)."""
-    B = np.empty((len(stacks),) + stacks[0].shape)
-    for j, z in enumerate(map_values):
-        x_ext, z_ext = _map_knots(node_grid, z)
-        B[j] = np.interp(stacks[j], x_ext, z_ext)
-    return B
+def _operators(model: MtdrModel, data: DataSet):
+    """One interpolation operator per stack, and the knot values of each map."""
+    if data.p != model.p:
+        raise ValueError("predictor count must match the model")
+    if data.domain != model.domain or not data.prob_grid.matches(model.prob_grid):
+        raise ValueError("dataset must share the model domain and grid")
+    x_ext = model.maps[0].knots()[0]
+    ops = [_Interp(x_ext, Q) for Q in _predictor_stacks(data, model.reference)]
+    return ops, [T.knots()[1] for T in model.maps]
 
 
-def _risk(B, alpha, resp, step) -> float:
-    resid = resp - np.tensordot(alpha, B, axes=1)
-    return float(step * np.mean(np.einsum("nt,nt->n", resid, resid)))
+def _prediction(alpha, ops, knots) -> np.ndarray:
+    return sum(a * op(z) for a, op, z in zip(alpha, ops, knots))
 
 
-def _weight_problem(B, resp, step) -> SimplexLSProblem:
-    n = resp.shape[0]
-    gram = np.einsum("jnt,knt->jk", B, B) * (step / n)
-    gram = 0.5 * (gram + gram.T)
-    lin = np.einsum("jnt,nt->j", B, resp) * (step / n)
-    return SimplexLSProblem(gram, lin)
+def _risk(resid: np.ndarray, scale: float) -> float:
+    return float(scale * np.dot(resid, resid))
 
 
-class _KSlice:
-    """Data-dependent pieces of the map-update problem for one index k.
+def _weight_problem(B: np.ndarray, resp: np.ndarray, scale: float) -> SimplexLSProblem:
+    gram = (B @ B.T) * scale
+    return SimplexLSProblem(0.5 * (gram + gram.T), (B @ resp) * scale)
 
-    All arrays have shape (n, node count) and depend only on the data, the
-    reference and the node grid, so they are computed once per fit:
-    levels are the CDF values of the k-th source measure at the nodes,
-    cell_w its cell masses, target the response quantiles at those levels,
-    and inner[j] the j-th source quantiles at those levels.
+
+def _map_step(op: _Interp, z_ext, a, resid, lo, hi, shift=0.0) -> IsotonicProblem:
+    """Isotonic problem of one majorize-minimize step for one map.
+
+    The risk is a quadratic in the map's node values with Hessian
+    proportional to a^2 P'P, and diag(mass) majorizes P'P: P is nonnegative
+    with row sums at most one.  Minimizing the majorizer over monotone maps
+    is a weighted isotonic regression with weights mass and targets
+    z - P'resid / (a mass); nodes without mass keep their value as target.
+    The problem is posed for z - shift, whose solution is shifted back.
     """
-
-    def __init__(self, data, reference, node_grid, k, with_target):
-        t = node_grid.size
-        n = data.n
-        dom = node_grid.domain
-        plev = data.prob_grid.levels
-        x_all = np.concatenate((node_grid.nodes, node_grid.edges))
-        self.levels = np.empty((n, t))
-        self.cell_w = np.empty((n, t))
-        self.target = np.empty((n, t)) if with_target else None
-        self.inner = {}
-        p = data.p
-        for j in range(p + 1):
-            if j != k:
-                self.inner[j] = np.empty((n, t))
-        for i, s in enumerate(data.subjects):
-            src = reference.values if k == 0 else s.predictors[k - 1].values
-            lv_all = cdf_at(src, dom, plev, x_all)
-            lv = lv_all[:t]
-            self.levels[i] = lv
-            self.cell_w[i] = np.maximum(np.diff(lv_all[t:]), 0.0)
-            if with_target:
-                self.target[i] = quantile_at(s.response.values, dom, plev, lv)
-            for j in range(p + 1):
-                if j == k:
-                    continue
-                other = reference.values if j == 0 else s.predictors[j - 1].values
-                self.inner[j][i] = quantile_at(other, dom, plev, lv)
-        self.node_w = self.cell_w.sum(axis=0)
+    mass = op.mass
+    step = np.divide(
+        op.adjoint(resid)[1:-1], a * mass, out=np.zeros_like(mass), where=mass > 0.0
+    )
+    return IsotonicProblem(z_ext[1:-1] - step - shift, mass, lo, hi)
 
 
-def _assemble_k(kslice: _KSlice, node_grid, map_values, alpha, k) -> IsotonicProblem:
-    terms = np.zeros_like(kslice.target)
-    for j, z in enumerate(map_values):
-        if j == k or alpha[j] == 0.0:
-            continue
-        x_ext, z_ext = _map_knots(node_grid, z)
-        terms += alpha[j] * np.interp(kslice.inner[j], x_ext, z_ext)
-    y = (kslice.target - terms) / alpha[k]
-    sw = kslice.node_w
-    num = np.einsum("nt,nt->t", kslice.cell_w, y)
-    yhat = np.divide(num, sw, out=np.zeros_like(sw), where=sw > 0.0)
+def _slope_floor(node_grid: NodeGrid, min_slope: float):
+    """Shift and upper bound that turn the slope floor into a box.
+
+    A map whose slopes between nodes are at least min_slope is y + shift,
+    with shift = min_slope (x - x_0) and y nondecreasing in [lo, top],
+    top = hi - shift[-1] (rounded down so that top + shift[-1] <= hi).
+    """
     dom = node_grid.domain
-    return IsotonicProblem(yhat, sw / kslice.cell_w.shape[0], dom.lo, dom.hi)
-
-
-def _solve_map_update(prob: IsotonicProblem, node_grid: NodeGrid, min_slope: float):
-    if min_slope == 0.0:
-        return weighted_isotonic(prob)
-    # slope floor via the standard shift: subtract min_slope * x, solve the
-    # plain isotonic problem, shift back.  The shifted problem's box holds
-    # every target, so its clip changes nothing; box clipping afterwards may
-    # locally override the floor near the domain ends.
     shift = min_slope * (node_grid.nodes - node_grid.nodes[0])
-    y = prob.targets - shift
-    box = (min(y.min(), prob.lo), max(y.max(), prob.hi))
-    z = weighted_isotonic(IsotonicProblem(y, prob.weights, *box))
-    return np.maximum.accumulate(np.clip(z + shift, prob.lo, prob.hi))
+    top = dom.hi - shift[-1]
+    while top + shift[-1] > dom.hi:
+        top = np.nextafter(top, -np.inf)
+    if top <= dom.lo:
+        raise ValueError(
+            f"min_slope={min_slope} leaves no monotone map between the domain ends"
+        )
+    return shift, top
 
 
 def _check_reference(reference: QuantileGrid, data: DataSet) -> None:
@@ -360,43 +358,32 @@ def loss(model: MtdrModel, predictors, response: QuantileGrid) -> float:
 
 def empirical_risk(model: MtdrModel, data: DataSet) -> float:
     """Mean squared-Wasserstein prediction error over a dataset."""
-    if data.p != model.p:
-        raise ValueError("predictor count must match the model")
-    if data.domain != model.domain or not data.prob_grid.matches(model.prob_grid):
-        raise ValueError("dataset must share the model domain and grid")
-    resp = _response_stack(data)
-    stacks = _predictor_stacks(data, model.reference)
-    B = _design(stacks, model.node_grid, [T.values for T in model.maps])
-    return _risk(B, model.weights.values, resp, data.prob_grid.step)
+    ops, knots = _operators(model, data)
+    resid = _prediction(model.weights.values, ops, knots) - _response_stack(data)
+    return _risk(resid, data.prob_grid.step / data.n)
 
 
 def map_update_problem(
     model: MtdrModel, data: DataSet, k: int, alpha_floor: float = 1e-8
 ) -> IsotonicProblem:
-    """Isotonic subproblem whose solution is the optimal k-th map.
+    """Isotonic subproblem of one majorize-minimize step for the k-th map.
 
-    Holding the weights and the other maps fixed, the risk restricted to the
-    k-th map discretizes, per node, to a weighted least squares problem with
-    monotonicity constraints.  Node targets average, over subjects, the
-    response quantiles minus the contribution of the other transported
-    predictors, read off at the levels the k-th source measure assigns to
-    the nodes; node weights are the mean cell masses under that source.
+    Holding the weights and the other maps fixed, the risk is a quadratic
+    in the k-th map's node values.  Its curvature is majorized by the
+    node masses of the interpolation operator that reads the map at the
+    k-th quantile stack, so solving the returned problem (weights: node
+    masses; targets: the current node values minus the risk gradient
+    scaled by the mass and the k-th weight) never raises the risk.
     """
     if not 0 <= k <= model.p:
         raise ValueError("map index out of range")
-    if data.p != model.p:
-        raise ValueError("predictor count must match the model")
-    if data.domain != model.domain or not data.prob_grid.matches(model.prob_grid):
-        raise ValueError("dataset must share the model domain and grid")
+    ops, knots = _operators(model, data)
     alpha = model.weights.values
-    if alpha[k] < alpha_floor:
+    if alpha[k] == 0.0 or alpha[k] < alpha_floor:
         raise ValueError("weight below floor: map update is undefined")
-    if not data.has_responses:
-        raise ValueError("dataset lacks responses")
-    kslice = _KSlice(data, model.reference, model.node_grid, k, with_target=True)
-    return _assemble_k(
-        kslice, model.node_grid, [T.values for T in model.maps], alpha, k
-    )
+    resid = _prediction(alpha, ops, knots) - _response_stack(data)
+    dom = model.domain
+    return _map_step(ops[k], knots[k], alpha[k], resid, dom.lo, dom.hi)
 
 
 def fit(
@@ -406,16 +393,14 @@ def fit(
     cfg: FitConfig = FitConfig(),
     fixed_weights: SimplexWeights | None = None,
 ):
-    """Fit the regression operator by alternating convex updates.
+    """Fit the regression operator by alternating block descent.
 
-    Starting from identity maps, repeats: exact isotonic update of each map
-    with weight above the floor (in index order), then a simplex least
-    squares update of the weights (skipped when fixed_weights is given).
-    Stops once an outer iteration decreases the empirical risk by at most
-    rel_tol times the initial risk, or after max_outer_iter iterations.  A
-    sweep that raises the risk (possible because the map update minimises
-    a node-binned surrogate) is discarded in favour of the previous
-    iterate, so the recorded trajectory never increases.
+    Starting from identity maps, repeats: one majorize-minimize step for
+    each map with weight above the floor (in index order), then a simplex
+    least squares update of the weights (skipped when fixed_weights is
+    given).  Neither step raises the empirical risk.  Stops once an outer
+    iteration decreases the risk by at most rel_tol times the initial
+    risk (converged), or after max_outer_iter iterations.
 
     Returns
     -------
@@ -428,50 +413,41 @@ def fit(
         raise ValueError("fixed weights must have length p + 1")
 
     dom = data.domain
-    step = data.prob_grid.step
     node_grid = NodeGrid.uniform(dom, cfg.t)
+    shift, top = _slope_floor(node_grid, cfg.min_slope)
+    x_ext = MonotoneMap.identity(node_grid).knots()[0]
+    ops = [_Interp(x_ext, Q) for Q in _predictor_stacks(data, reference)]
     resp = _response_stack(data)
-    stacks = _predictor_stacks(data, reference)
-    slices = [
-        _KSlice(data, reference, node_grid, k, with_target=True)
-        for k in range(p + 1)
-    ]
+    scale = data.prob_grid.step / data.n
 
-    map_values = [node_grid.nodes.copy() for _ in range(p + 1)]
-    B = _design(stacks, node_grid, map_values)
+    knots = [x_ext.copy() for _ in range(p + 1)]
+    B = np.stack([op(z) for op, z in zip(ops, knots)])
     if fixed_weights is not None:
         alpha = fixed_weights.values.copy()
     else:
-        alpha = simplex_least_squares(_weight_problem(B, resp, step)).values
-    trajectory = [_risk(B, alpha, resp, step)]
+        alpha = simplex_least_squares(_weight_problem(B, resp, scale)).values
+    resid = alpha @ B - resp
+    trajectory = [_risk(resid, scale)]
 
     converged = False
     for _ in range(cfg.max_outer_iter):
-        prev_maps = [z.copy() for z in map_values]
-        prev_alpha = alpha.copy()
         for k in range(p + 1):
-            if alpha[k] < cfg.alpha_floor:
+            if alpha[k] == 0.0 or alpha[k] < cfg.alpha_floor or not ops[k].mass.any():
                 continue
-            prob = _assemble_k(slices[k], node_grid, map_values, alpha, k)
-            map_values[k] = _solve_map_update(prob, node_grid, cfg.min_slope)
-        B = _design(stacks, node_grid, map_values)
+            prob = _map_step(ops[k], knots[k], alpha[k], resid, dom.lo, top, shift)
+            knots[k][1:-1] = weighted_isotonic(prob) + shift
+            moved = ops[k](knots[k])
+            resid += alpha[k] * (moved - B[k])
+            B[k] = moved
         if fixed_weights is None:
-            alpha = simplex_least_squares(_weight_problem(B, resp, step)).values
-        new_risk = _risk(B, alpha, resp, step)
-        if new_risk > trajectory[-1]:
-            # The map update minimises a node-binned surrogate of the risk,
-            # so on coarse grids a sweep can overshoot slightly; keep the
-            # better iterate and stop.
-            map_values = prev_maps
-            alpha = prev_alpha
-            converged = True
-            break
-        trajectory.append(new_risk)
+            alpha = simplex_least_squares(_weight_problem(B, resp, scale)).values
+        resid = alpha @ B - resp
+        trajectory.append(_risk(resid, scale))
         if trajectory[-2] - trajectory[-1] <= cfg.rel_tol * trajectory[0]:
             converged = True
             break
 
-    maps = tuple(MonotoneMap(node_grid, z) for z in map_values)
+    maps = tuple(MonotoneMap(node_grid, z[1:-1]) for z in knots)
     weights = (
         fixed_weights
         if fixed_weights is not None
@@ -493,17 +469,9 @@ def predictive_seminorm(model_a: MtdrModel, model_b: MtdrModel, data: DataSet) -
         raise ValueError("models must share predictor count and domain")
     if not model_a.prob_grid.matches(model_b.prob_grid):
         raise ValueError("models must share the probability grid")
-    if data.p != model_a.p:
-        raise ValueError("predictor count must match the models")
-    if data.domain != model_a.domain or not data.prob_grid.matches(model_a.prob_grid):
-        raise ValueError("dataset must share the model domain and grid")
-    step = data.prob_grid.step
-    sa = _predictor_stacks(data, model_a.reference)
-    sb = _predictor_stacks(data, model_b.reference)
-    Ba = _design(sa, model_a.node_grid, [T.values for T in model_a.maps])
-    Bb = _design(sb, model_b.node_grid, [T.values for T in model_b.maps])
-    pa = np.tensordot(model_a.weights.values, Ba, axes=1)
-    pb = np.tensordot(model_b.weights.values, Bb, axes=1)
-    diff = pa - pb
-    gaps = step * np.einsum("nt,nt->n", diff, diff)
-    return float(np.sqrt(np.mean(gaps)))
+    ops_a, knots_a = _operators(model_a, data)
+    ops_b, knots_b = _operators(model_b, data)
+    diff = _prediction(model_a.weights.values, ops_a, knots_a) - _prediction(
+        model_b.weights.values, ops_b, knots_b
+    )
+    return float(np.sqrt(_risk(diff, data.prob_grid.step / data.n)))

@@ -464,6 +464,10 @@ class TestCliSimulate:
         assert doc["format_version"] == 1
         assert doc["alpha_star"] == [0.5, 0.5]
         assert set(doc["metrics"]) >= {"pred_seminorm_err", "weight_err", "rmse"}
+        [rep] = doc["replications"]
+        assert set(rep) == {"iterations", "converged"}
+        assert isinstance(rep["converged"], bool)
+        assert 1 <= rep["iterations"] <= FitConfig().max_outer_iter
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][:3] == ["scenario", "p", "alpha_star"]
@@ -507,19 +511,21 @@ class TestCliSimulate:
         assert doc["alpha_star"] == [0.2, 0.4, 0.4]
 
     def test_wrong_alpha_count_is_runtime_error(self, tmp_path, capsys):
-        code = cli(
-            [
-                "simulate",
-                "--scenario", "single",
-                "--alpha", "0.1,0.2,0.7",
-                "--n", "4",
-                "--m", "4",
-                "--reps", "1",
-                "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        # three values for one predictor, and a pair off the simplex
+        for alpha in ("0.1,0.2,0.7", "0.3,0.5"):
+            code = cli(
+                [
+                    "simulate",
+                    "--scenario", "single",
+                    "--alpha", alpha,
+                    "--n", "4",
+                    "--m", "4",
+                    "--reps", "1",
+                    "--out", str(tmp_path / "x"),
+                ]
+            )
+            assert code == 1
+            assert "error:" in capsys.readouterr().err
 
 
 class TestCliLoocv:

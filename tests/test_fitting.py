@@ -17,7 +17,13 @@ from mtdr.fitting import (
     predictive_seminorm,
 )
 from mtdr.monotone_map import MonotoneMap, NodeGrid, map_l2_distance, pushforward
-from mtdr.quantile_core import Domain, ProbGrid, QuantileGrid, wasserstein_distance
+from mtdr.quantile_core import (
+    Domain,
+    ProbGrid,
+    QuantileGrid,
+    frechet_mean,
+    wasserstein_distance,
+)
 from mtdr.simulation import (
     NoiseSpec,
     generate_dataset,
@@ -25,7 +31,7 @@ from mtdr.simulation import (
     sine_warp,
     single_predictor_scenario,
 )
-from mtdr.solvers import SimplexWeights
+from mtdr.solvers import SimplexWeights, weighted_isotonic
 from oracles import riemann_quantile_l2
 
 UNIT = Domain(0.0, 1.0)
@@ -52,6 +58,16 @@ def noiseless_exact_data(alpha1=0.5, n=100, t=300, seed=3):
     )
     rng = np.random.default_rng(seed)
     return generate_dataset(spec, rng, t=t, exact=True)
+
+
+def assert_descends(report, cfg=FitConfig()):
+    """Nonincreasing risk, and converged only by the rel_tol rule."""
+    tr = report.trajectory
+    assert np.all(np.diff(tr) <= 1e-12 * tr[0])
+    if report.converged:
+        assert tr[-2] - tr[-1] <= cfg.rel_tol * tr[0]
+    else:
+        assert report.iterations == cfg.max_outer_iter
 
 
 class TestDataSet:
@@ -217,6 +233,51 @@ class TestMapUpdateProblem:
         avg = 0.5 * (single_up.targets + single_dn.targets)
         assert np.max(np.abs(prob.targets[pos] - avg[pos])) < 1e-12
 
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_solution_never_raises_risk(self, p):
+        rng = np.random.default_rng(500 + p)
+        t, nodes, n = 40, 25, 6
+        grid = ProbGrid.midpoint(t)
+        node = NodeGrid.uniform(UNIT, nodes)
+        improved = False
+        for trial in range(15):
+            # predictors live on [0, 0.6], so upper nodes carry no mass
+            subjects = tuple(
+                Subject(
+                    tuple(
+                        QuantileGrid(UNIT, grid, 0.6 * np.sort(rng.uniform(size=t)))
+                        for _ in range(p)
+                    ),
+                    random_measure(rng, t),
+                )
+                for _ in range(n)
+            )
+            data = DataSet(subjects)
+            # a Frechet reference does not sit on the node grid
+            ref = frechet_mean([s.response for s in subjects], np.full(n, 1.0 / n))
+            maps = tuple(
+                MonotoneMap(node, np.sort(rng.uniform(size=nodes)))
+                for _ in range(p + 1)
+            )
+            alpha = rng.dirichlet(np.ones(p + 1))
+            if p > 0 and trial % 3 == 0:
+                alpha[trial % (p + 1)] = 1.5e-8  # just above the default floor
+                alpha /= alpha.sum()
+            model = MtdrModel(ref, maps, SimplexWeights.of(alpha))
+            base = empirical_risk(model, data)
+            for k in range(p + 1):
+                prob = map_update_problem(model, data, k)
+                if k > 0:
+                    assert np.any(prob.weights == 0.0)
+                stepped = list(maps)
+                stepped[k] = MonotoneMap(node, weighted_isotonic(prob))
+                risk = empirical_risk(
+                    MtdrModel(ref, tuple(stepped), model.weights), data
+                )
+                assert risk <= base * (1.0 + 1e-12)
+                improved |= risk < base * (1.0 - 1e-3)
+        assert improved
+
     def test_rejects_small_weight(self, rng):
         t = 20
         model = toy_model(t, [1.0, 0.0], (4, 3))
@@ -238,11 +299,12 @@ class TestFit:
             err = map_l2_distance(model.maps[j], gen.truth.maps[j])
             assert err < 0.02
         assert report.converged
+        assert_descends(report, FitConfig(t=300))
 
     def test_trajectory_decreases_and_matches_risk(self):
         gen = noiseless_exact_data(alpha1=0.3, n=40, t=150, seed=9)
         model, report = fit(gen.train, 1, gen.truth.reference)
-        assert np.all(np.diff(report.trajectory) <= 1e-6 * report.trajectory[0])
+        assert_descends(report)
         assert empirical_risk(model, gen.train) == pytest.approx(
             report.final_objective, rel=1e-9
         )
@@ -252,19 +314,30 @@ class TestFit:
         fixed = SimplexWeights.of([0.0, 1.0])
         model, _ = fit(gen.train, 1, gen.truth.reference, fixed_weights=fixed)
         assert np.array_equal(model.weights.values, fixed.values)
+        # with no floor, a map whose weight is exactly zero is still frozen
+        cfg = FitConfig(alpha_floor=0.0)
+        unfloored, _ = fit(gen.train, 1, gen.truth.reference, cfg, fixed)
+        assert np.array_equal(unfloored.maps[0].values, model.maps[0].values)
+
+    def test_predictor_without_node_mass(self):
+        # a predictor that is an atom at the upper end reads every map at its
+        # pinned endpoint, so no node carries mass and its map stays put
+        gen = noiseless_exact_data(n=20, t=60, seed=5)
+        atom = QuantileGrid(UNIT, ProbGrid.midpoint(60), np.ones(60))
+        data = DataSet(tuple(Subject((atom,), s.response) for s in gen.train.subjects))
+        model, report = fit(data, 1, gen.truth.reference, FitConfig(t=60))
+        assert_descends(report, FitConfig(t=60))
+        assert np.array_equal(model.maps[1].values, model.node_grid.nodes)
 
     def test_min_slope_floors_interior_slopes(self):
         gen = noiseless_exact_data(alpha1=0.5, n=30, t=60, seed=5)
         ref = gen.truth.reference
-        floored, _ = fit(gen.train, 1, ref, cfg=FitConfig(t=60, min_slope=0.5))
+        cfg = FitConfig(t=60, min_slope=0.5)
+        floored, report = fit(gen.train, 1, ref, cfg=cfg)
+        assert_descends(report, cfg)
         for T in floored.maps:
             z, x = T.values, T.grid.nodes
-            dom = T.grid.domain
-            slopes = np.diff(z) / np.diff(x)
-            # box clipping may override the floor where a map meets the ends
-            interior = (z[:-1] > dom.lo) & (z[1:] < dom.hi)
-            assert interior.sum() > 50
-            assert np.all(slopes[interior] >= 0.5 * (1.0 - 1e-9))
+            assert np.all(np.diff(z) / np.diff(x) >= 0.5 * (1.0 - 1e-12))
         # the true order-4 warp is flat in places, so the floor binds
         plain, _ = fit(gen.train, 1, ref, cfg=FitConfig(t=60))
         assert np.diff(plain.maps[0].values).min() < 0.5 * np.diff(x).min()
@@ -272,6 +345,12 @@ class TestFit:
         assert np.array_equal(zero.weights.values, plain.weights.values)
         for a, b in zip(zero.maps, plain.maps):
             assert np.array_equal(a.values, b.values)
+
+    def test_min_slope_too_steep_raises(self):
+        gen = noiseless_exact_data(n=10, t=50, seed=2)
+        # 1.1 * (x_last - x_first) exceeds the domain width at t = 50
+        with pytest.raises(ValueError, match="min_slope"):
+            fit(gen.train, 1, gen.truth.reference, cfg=FitConfig(t=50, min_slope=1.1))
 
     def test_permutation_equivariance(self):
         spec = multi_predictor_scenario(
@@ -281,7 +360,8 @@ class TestFit:
         gen = generate_dataset(spec, rng, t=150, exact=True)
         base = gen.train
         cfg = FitConfig(t=150, rel_tol=1e-12, max_outer_iter=1000)
-        model, _ = fit(base, 2, gen.truth.reference, cfg=cfg)
+        model, report = fit(base, 2, gen.truth.reference, cfg=cfg)
+        assert_descends(report, cfg)
         swapped = DataSet(
             tuple(
                 Subject((s.predictors[1], s.predictors[0]), s.response)
