@@ -165,6 +165,27 @@ def write_long_csv(path, pred_samples, resp_samples=None, subject_ids=None) -> N
 # -- model file ------------------------------------------------------------
 
 
+_NUMBER = (int, float)
+_JSON_KINDS = {dict: "a JSON object", int: "an integer", _NUMBER: "a number"}
+
+
+def _typed(value, kind, what: str):
+    """A value read from a JSON file, else a ValueError naming it."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def _floats(value, what: str) -> np.ndarray:
+    """A JSON array of numbers read from a file, as a float array."""
+    if isinstance(value, list):
+        try:
+            return np.asarray(value, dtype=float)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an array of numbers")
+
+
 def _probgrid_json(grid: ProbGrid) -> dict:
     t = grid.size
     if np.array_equal(grid.levels, ProbGrid.midpoint(t).levels):
@@ -172,10 +193,11 @@ def _probgrid_json(grid: ProbGrid) -> dict:
     return {"kind": "explicit", "levels": grid.levels.tolist()}
 
 
-def _probgrid_from_json(spec: dict) -> ProbGrid:
+def _probgrid_from_json(spec) -> ProbGrid:
+    spec = _typed(spec, dict, "prob_grid")
     if spec["kind"] == "midpoint":
-        return ProbGrid.midpoint(int(spec["size"]))
-    return ProbGrid(np.asarray(spec["levels"], dtype=float))
+        return ProbGrid.midpoint(_typed(spec["size"], int, "prob_grid size"))
+    return ProbGrid(_floats(spec["levels"], "prob_grid levels"))
 
 
 def _nodegrid_json(grid: NodeGrid) -> dict:
@@ -189,13 +211,14 @@ def _nodegrid_json(grid: NodeGrid) -> dict:
     }
 
 
-def _nodegrid_from_json(spec: dict, domain: Domain) -> NodeGrid:
+def _nodegrid_from_json(spec, domain: Domain) -> NodeGrid:
+    spec = _typed(spec, dict, "node_grid")
     if spec["kind"] == "uniform":
-        return NodeGrid.uniform(domain, int(spec["size"]))
+        return NodeGrid.uniform(domain, _typed(spec["size"], int, "node_grid size"))
     return NodeGrid(
         domain,
-        np.asarray(spec["nodes"], dtype=float),
-        np.asarray(spec["edges"], dtype=float),
+        _floats(spec["nodes"], "node_grid nodes"),
+        _floats(spec["edges"], "node_grid edges"),
     )
 
 
@@ -229,25 +252,25 @@ def load_model(path: str):
     Returns (model, report); report is None when the file carries none.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _typed(json.load(fh), dict, "model file")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported model format_version")
-    domain = Domain(float(doc["domain"]["s0"]), float(doc["domain"]["s1"]))
+    dom = _typed(doc["domain"], dict, "domain")
+    lo, hi = (_typed(dom[key], _NUMBER, f"domain {key}") for key in ("s0", "s1"))
+    domain = Domain(float(lo), float(hi))
     prob_grid = _probgrid_from_json(doc["prob_grid"])
     node_grid = _nodegrid_from_json(doc["node_grid"], domain)
     reference = QuantileGrid(
-        domain, prob_grid, np.asarray(doc["reference_quantiles"], dtype=float)
+        domain, prob_grid, _floats(doc["reference_quantiles"], "reference_quantiles")
     )
-    maps = tuple(
-        MonotoneMap(node_grid, np.asarray(z, dtype=float)) for z in doc["maps"]
-    )
-    weights = SimplexWeights.of(np.asarray(doc["alpha"], dtype=float))
+    maps = tuple(MonotoneMap(node_grid, z) for z in _floats(doc["maps"], "maps"))
+    weights = SimplexWeights.of(_floats(doc["alpha"], "alpha"))
     model = MtdrModel(reference, maps, weights)
     report = None
     if "fit_report" in doc:
-        rep = doc["fit_report"]
+        rep = _typed(doc["fit_report"], dict, "fit_report")
         report = FitReport(
-            np.asarray(rep["trajectory"], dtype=float), bool(rep["converged"])
+            _floats(rep["trajectory"], "fit_report trajectory"), bool(rep["converged"])
         )
     return model, report
 
@@ -268,8 +291,8 @@ def _resolve_reference(
         lam = np.full(len(responses), 1.0 / len(responses))
         return frechet_mean(responses, lam)
     with open(choice) as fh:
-        doc = json.load(fh)
-    return QuantileGrid(domain, grid, np.asarray(doc["quantiles"], dtype=float))
+        doc = _typed(json.load(fh), dict, "reference file")
+    return QuantileGrid(domain, grid, _floats(doc["quantiles"], "reference quantiles"))
 
 
 # -- leave-one-out cross validation ------------------------------------------

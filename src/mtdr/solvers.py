@@ -1,10 +1,10 @@
 """Solvers for the two convex subproblems of the alternating fit.
 
 Map updates reduce to weighted isotonic regression with box constraints,
-solved exactly by pool-adjacent-violators followed by clipping.  Weight
-updates are least squares over the probability simplex in p + 1 unknowns,
-solved exactly by enumerating supports and solving each support's
-stationarity system.
+solved exactly by pool-adjacent-violators over a stack of blocks, then
+clipping.  Weight updates are least squares over the probability simplex
+in p + 1 unknowns, solved exactly by enumerating supports and solving each
+support's principal subsystem of one stationarity (KKT) system.
 """
 
 from __future__ import annotations
@@ -60,26 +60,23 @@ class IsotonicProblem:
 def _pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pool adjacent violators for strictly positive weights.
 
-    Maintains a stack of blocks holding weighted means; merging two blocks
-    replaces them by their combined weighted mean.  Runs in linear time.
+    Each value starts a block (mean, weight, length) on a stack; while the
+    block below has a larger mean, the two merge into their weighted mean.
+    Runs in linear time.
     """
-    n = y.size
-    means = np.empty(n)
-    wsum = np.empty(n)
-    count = np.empty(n, dtype=np.intp)
-    top = -1
-    for i in range(n):
-        top += 1
-        means[top] = y[i]
-        wsum[top] = w[i]
-        count[top] = 1
-        while top > 0 and means[top - 1] > means[top]:
-            tw = wsum[top - 1] + wsum[top]
-            means[top - 1] = (wsum[top - 1] * means[top - 1] + wsum[top] * means[top]) / tw
-            wsum[top - 1] = tw
-            count[top - 1] += count[top]
-            top -= 1
-    return np.repeat(means[: top + 1], count[: top + 1])
+    means, weights, counts = [], [], []
+    for m, ws in zip(y.tolist(), w.tolist()):
+        count = 1
+        while means and means[-1] > m:
+            pw = weights.pop()
+            tw = pw + ws
+            m = (pw * means.pop() + ws * m) / tw
+            ws = tw
+            count += counts.pop()
+        means.append(m)
+        weights.append(ws)
+        counts.append(count)
+    return np.repeat(means, counts)
 
 
 def weighted_isotonic(prob: IsotonicProblem) -> np.ndarray:
@@ -92,50 +89,27 @@ def weighted_isotonic(prob: IsotonicProblem) -> np.ndarray:
     """
     y, w = prob.targets, prob.weights
     pos = w > 0.0
-    z = np.empty_like(y)
-    z[pos] = _pava(y[pos], w[pos])
-    if not np.all(pos):
-        idx = np.where(pos, np.arange(y.size), -1)
-        idx = np.maximum.accumulate(idx)
-        idx[idx < 0] = int(np.argmax(pos))
-        z = z[idx]
+    z = _pava(y[pos], w[pos])[np.maximum(np.cumsum(pos) - 1, 0)]
     return np.clip(z, prob.lo, prob.hi)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Projection core without input validation (hot path).
+def simplex_project(v) -> np.ndarray:
+    """Euclidean projection onto the probability simplex.
 
     Sort-and-threshold: find the largest k such that shifting the top k
-    coordinates by a common offset lands on the simplex, then clip.  Small
-    vectors take a plain-Python route to dodge array overhead.
+    coordinates by a common offset lands on the simplex, then clip.
     """
-    n = v.size
-    if n <= 8:
-        u = sorted(v.tolist(), reverse=True)
-        css = 0.0
-        tau = 0.0
-        for i, ui in enumerate(u):
-            css += ui
-            offset = (1.0 - css) / (i + 1.0)
-            if ui + offset > 0.0:
-                tau = offset
-        return np.maximum(v + tau, 0.0)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, n + 1)
-    rho = np.nonzero(u + (1.0 - css) / k > 0.0)[0][-1]
-    tau = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + tau, 0.0)
-
-
-def simplex_project(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("projection expects a nonempty vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("projection expects finite entries")
-    return _project_simplex(v)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    k = np.arange(1, v.size + 1)
+    rho = np.nonzero(u + (1.0 - css) / k > 0.0)[0][-1]
+    tau = (1.0 - css[rho]) / (rho + 1.0)
+    return np.maximum(v + tau, 0.0)
 
 
 # largest simplex dimension whose supports simplex_least_squares enumerates
@@ -166,7 +140,7 @@ class SimplexLSProblem:
         scale = max(float(np.abs(G).max()), 1.0)
         if np.abs(G - G.T).max() > 1e-10 * scale:
             raise ValueError("gram must be symmetric")
-        if n <= _MAX_SIMPLEX_DIM and np.linalg.eigvalsh(G).min() < -1e-10 * scale:
+        if np.linalg.eigvalsh(G).min() < -1e-10 * scale:
             raise ValueError("gram must be positive semidefinite")
 
 
@@ -210,10 +184,11 @@ def simplex_least_squares(prob: SimplexLSProblem) -> SimplexWeights:
         [2 G_SS  1] [a_S]   [2 c_S]
         [1'      0] [lam] = [1    ]
 
-    is nonsingular, and its solution is that minimizer.  So solving the
-    system for every nonempty support, keeping the solutions that are
-    primal feasible (up to roundoff, then clipped and renormalized onto the
-    simplex) and returning the one with the least objective is exact.
+    is nonsingular, and its solution is that minimizer.  So solving, for
+    every nonempty support, its principal subsystem of the bordered system
+    of all n columns, keeping the solutions that are primal feasible (up to
+    roundoff, then clipped and renormalized onto the simplex) and returning
+    the one with the least objective is exact.
     Every kept candidate is a point of the simplex, and singleton supports
     always solve, so the vertices are always candidates; this covers one
     column and a zero Gram matrix.  The cost is 2^n small solves, so
@@ -227,17 +202,16 @@ def simplex_least_squares(prob: SimplexLSProblem) -> SimplexWeights:
             f" exceeds the limit of {_MAX_SIMPLEX_DIM}"
         )
     feas_tol = 1e-9 * max(float(np.abs(G).max()), float(np.abs(c).max()), 1.0)
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = 2.0 * G
+    kkt[n, n] = 0.0
+    rhs = np.append(2.0 * c, 1.0)
     best, best_obj = None, np.inf
     for mask in range(1, 1 << n):
         support = [j for j in range(n) if mask >> j & 1]
-        k = len(support)
-        sys_mat = np.zeros((k + 1, k + 1))
-        sys_mat[:k, :k] = 2.0 * G[np.ix_(support, support)]
-        sys_mat[:k, k] = 1.0
-        sys_mat[k, :k] = 1.0
-        rhs = np.append(2.0 * c[support], 1.0)
+        rows = support + [n]
         try:
-            a_s = np.linalg.solve(sys_mat, rhs)[:k]
+            a_s = np.linalg.solve(kkt[np.ix_(rows, rows)], rhs[rows])[:-1]
         except np.linalg.LinAlgError:
             continue
         if not np.all(np.isfinite(a_s)) or a_s.min() < -feas_tol:

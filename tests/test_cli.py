@@ -626,15 +626,52 @@ class TestExitCodes:
 
     def test_malformed_model_is_runtime_error(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps({"format_version": 99}))
+        save_model(str(model_path), identity_model(t=4))
+        valid = json.loads(model_path.read_text())
+        cases = [
+            ({"format_version": 99}, "format_version"),
+            ([valid], "model file must be a JSON object"),
+            ({**valid, "maps": 5}, "maps must be an array of numbers"),
+            ({**valid, "maps": [{}, {}]}, "maps must be an array of numbers"),
+            ({**valid, "domain": [0, 100]}, "domain must be a JSON object"),
+            (
+                {**valid, "domain": {"s0": [0], "s1": 1}},
+                "domain s0 must be a number",
+            ),
+            ({**valid, "prob_grid": "midpoint"}, "prob_grid must be a JSON object"),
+            (
+                {**valid, "prob_grid": {"kind": "midpoint", "size": float("inf")}},
+                "prob_grid size must be an integer",
+            ),
+            ({**valid, "fit_report": 3}, "fit_report must be a JSON object"),
+        ]
         data = tmp_path / "d.csv"
         sample_csv(data, n=2, m=4, seed=43)
-        code = cli(
-            ["predict", "--model", str(model_path), "--data", str(data),
-             "--out", str(tmp_path / "p.csv")]
-        )
-        assert code == 1
-        assert "format_version" in capsys.readouterr().err
+        for doc, message in cases:
+            model_path.write_text(json.dumps(doc))
+            code = cli(
+                ["predict", "--model", str(model_path), "--data", str(data),
+                 "--out", str(tmp_path / "p.csv")]
+            )
+            assert code == 1
+            assert message in capsys.readouterr().err
+
+    def test_malformed_reference_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        sample_csv(data, n=3, m=4, seed=44)
+        ref_path = tmp_path / "reference.json"
+        for doc, message in [
+            ([1, 2], "reference file must be a JSON object"),
+            ({"quantiles": "0.5"}, "reference quantiles must be an array of numbers"),
+        ]:
+            ref_path.write_text(json.dumps(doc))
+            code = cli(
+                ["fit", "--data", str(data), "--p", "1", "--domain", "0,1",
+                 "--t", "4", "--reference", str(ref_path),
+                 "--out", str(tmp_path / "m.json")]
+            )
+            assert code == 1
+            assert message in capsys.readouterr().err
 
     def test_console_script_installed(self):
         assert shutil.which("mtdr") is not None

@@ -79,14 +79,33 @@ class TestWeightedIsotonic:
         again = weighted_isotonic(IsotonicProblem(out, w, 0.0, 1.0))
         assert np.allclose(again, out, atol=1e-15)
 
-    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 8))
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 8), zeros=st.booleans())
     @settings(max_examples=150)
-    def test_matches_block_enumeration_oracle(self, seed, t):
+    def test_matches_block_enumeration_oracle(self, seed, t, zeros):
         rng = np.random.default_rng(seed)
         y = rng.uniform(-0.3, 1.3, size=t)
         w = rng.uniform(0.1, 3.0, size=t)
+        if zeros:
+            w[rng.uniform(size=t) < 0.5] = 0.0
+            w[rng.integers(t)] = 1.0
         out = weighted_isotonic(IsotonicProblem(y, w, 0.0, 1.0))
-        assert np.max(np.abs(out - isotonic_oracle(y, w, 0.0, 1.0))) < 1e-9
+        best = isotonic_oracle(y, w, 0.0, 1.0)
+        assert np.all(np.diff(out) >= 0.0) and out.min() >= 0.0 and out.max() <= 1.0
+        # zero-weight nodes make the optimum non-unique: compare objectives
+        assert w @ (out - y) ** 2 - w @ (best - y) ** 2 <= 1e-12
+        if not zeros:
+            assert np.max(np.abs(out - best)) < 1e-9
+
+    @pytest.mark.parametrize("t", [50, 300, 1000])
+    def test_long_inputs_match_independent_pava(self, rng, t):
+        from scipy.optimize import isotonic_regression
+
+        for _ in range(5):
+            y = np.linspace(0.0, 4.0, t) + rng.normal(size=t)
+            w = np.exp(rng.uniform(-6.0, 6.0, size=t))
+            out = weighted_isotonic(IsotonicProblem(y, w, y.min(), y.max()))
+            ref = isotonic_regression(y, weights=w).x
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.abs(y).max()
 
     @given(seed=st.integers(0, 2**32 - 1))
     def test_output_feasible(self, seed):
