@@ -12,58 +12,28 @@ Four studies are run with fixed master seeds:
 * three_transport: two predictors plus reference with true weights
   (0.3, 0.35, 0.35) at n = m = 200.
 
-Each study writes <name>.csv and <name>.json into the output directory,
-in the same shape as the `mtdr simulate` command, plus an overview.json
-with wall times.  The full suite takes roughly twenty minutes on one
-core; --quick runs a reduced version in about a minute.
+Each study writes <name>.csv and <name>.json into the output directory
+through mtdr.cli.write_study, the writer of `mtdr simulate`, so both files
+have the format of that command's summary.csv and summary.json with the
+study name as the scenario; transport_equivalence.json also carries the
+fixed-weight metrics.  overview.json holds the wall time of each study.
+The full suite took 520 s on two cores; --quick runs a reduced suite in
+about 7 s.
 """
 
 import argparse
-import csv
 import json
 import os
 import time
 
+from mtdr.cli import write_study
+from mtdr.fitting import FitConfig
 from mtdr.simulation import (
-    ScenarioSpec,
-    StudySummary,
     multi_predictor_scenario,
     run_replications,
     single_predictor_scenario,
 )
-from mtdr.fitting import FitConfig
 from mtdr.solvers import SimplexWeights
-
-
-def write_summary(out_dir: str, name: str, spec: ScenarioSpec,
-                  summary: StudySummary, t: int, extra: dict | None = None) -> None:
-    rows = [
-        ["scenario", "p", "alpha_star", "n", "m", "reps", "seed", "metric", "mean", "sd"]
-    ]
-    alpha_text = ";".join(repr(a) for a in spec.weights.values.tolist())
-    for metric, stat in summary.metrics.items():
-        rows.append(
-            [name, spec.p, alpha_text, spec.n, spec.m, spec.reps, spec.seed,
-             metric, repr(stat["mean"]), repr(stat["sd"])]
-        )
-    with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    doc = {
-        "study": name,
-        "p": spec.p,
-        "alpha_star": spec.weights.values.tolist(),
-        "n": spec.n,
-        "m": spec.m,
-        "reps": spec.reps,
-        "seed": spec.seed,
-        "t": t,
-        "metrics": summary.metrics,
-    }
-    if extra:
-        doc.update(extra)
-    with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def main() -> None:
@@ -85,41 +55,29 @@ def main() -> None:
         trend_ns = (20, 40, 80)
     cfg = FitConfig(t=t)
     os.makedirs(args.out, exist_ok=True)
+
+    size = {"m": m, "reps": reps}
+    single, multi = single_predictor_scenario, multi_predictor_scenario
+    studies = [("single_mixture", single(0.5, n=n_single, seed=101, **size))]
+    studies += [
+        (f"sample_size_trend_n{n}", single(0.25, n=n, seed=seed, **size))
+        for n, seed in zip(trend_ns, (201, 202, 203))
+    ]
+    studies += [
+        ("transport_equivalence", single(1.0, n=n_single, seed=301, **size)),
+        ("three_transport", multi((0.3, 0.35, 0.35), n=n_single, seed=401, **size)),
+    ]
     overview = {}
-
-    t0 = time.perf_counter()
-    spec = single_predictor_scenario(0.5, n=n_single, m=m, reps=reps, seed=101)
-    write_summary(args.out, "single_mixture", spec, run_replications(spec, cfg), t)
-    overview["single_mixture_secs"] = round(time.perf_counter() - t0, 1)
-    print("single_mixture done", flush=True)
-
-    for n, seed in zip(trend_ns, (201, 202, 203)):
+    for name, spec in studies:
         t0 = time.perf_counter()
-        spec = single_predictor_scenario(0.25, n=n, m=m, reps=reps, seed=seed)
-        write_summary(
-            args.out, f"sample_size_trend_n{n}", spec, run_replications(spec, cfg), t
-        )
-        overview[f"sample_size_trend_n{n}_secs"] = round(time.perf_counter() - t0, 1)
-        print(f"sample_size_trend n={n} done", flush=True)
-
-    t0 = time.perf_counter()
-    spec = single_predictor_scenario(1.0, n=n_single, m=m, reps=reps, seed=301)
-    free = run_replications(spec, cfg)
-    fixed = run_replications(spec, cfg, fixed_weights=SimplexWeights.of([0.0, 1.0]))
-    write_summary(
-        args.out, "transport_equivalence", spec, free, t,
-        extra={"fixed_weight_metrics": fixed.metrics},
-    )
-    overview["transport_equivalence_secs"] = round(time.perf_counter() - t0, 1)
-    print("transport_equivalence done", flush=True)
-
-    t0 = time.perf_counter()
-    spec = multi_predictor_scenario(
-        (0.3, 0.35, 0.35), n=n_single, m=m, reps=reps, seed=401
-    )
-    write_summary(args.out, "three_transport", spec, run_replications(spec, cfg), t)
-    overview["three_transport_secs"] = round(time.perf_counter() - t0, 1)
-    print("three_transport done", flush=True)
+        summary = run_replications(spec, cfg)
+        extra = None
+        if name == "transport_equivalence":
+            fixed = run_replications(spec, cfg, SimplexWeights.of([0.0, 1.0]))
+            extra = {"fixed_weight_metrics": fixed.metrics}
+        write_study(args.out, name, name, summary, t, extra)
+        overview[f"{name}_secs"] = round(time.perf_counter() - t0, 1)
+        print(f"{name} done", flush=True)
 
     with open(os.path.join(args.out, "overview.json"), "w") as fh:
         json.dump(overview, fh, indent=2, sort_keys=True)

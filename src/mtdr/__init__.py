@@ -62,7 +62,16 @@ from .simulation import (
     sine_warp,
     single_predictor_scenario,
 )
-from .cli import IngestResult, cli, ingest, load_model, loocv, save_model, write_long_csv
+from .cli import (
+    IngestResult,
+    cli,
+    ingest,
+    load_model,
+    loocv,
+    save_model,
+    write_long_csv,
+    write_study,
+)
 
 __version__ = "0.1.0"
 
@@ -117,6 +126,7 @@ __all__ = [
     "write_long_csv",
     "save_model",
     "load_model",
+    "write_study",
     "loocv",
     "cli",
     "__version__",

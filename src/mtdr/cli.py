@@ -40,6 +40,7 @@ from .quantile_core import (
 )
 from .simulation import (
     NoiseSpec,
+    StudySummary,
     awd,
     multi_predictor_scenario,
     rmse,
@@ -54,6 +55,7 @@ __all__ = [
     "write_long_csv",
     "save_model",
     "load_model",
+    "write_study",
     "loocv",
     "cli",
     "main",
@@ -176,6 +178,14 @@ def _typed(value, kind, what: str):
     return value
 
 
+def _float(value, what: str) -> float:
+    """A JSON number read from a file, as a float."""
+    try:
+        return float(_typed(value, _NUMBER, what))
+    except OverflowError:
+        raise ValueError(f"{what} is out of float range") from None
+
+
 def _floats(value, what: str) -> np.ndarray:
     """A JSON array of numbers read from a file, as a float array."""
     if isinstance(value, list):
@@ -183,7 +193,16 @@ def _floats(value, what: str) -> np.ndarray:
             return np.asarray(value, dtype=float)
         except TypeError:
             pass
+        except OverflowError:
+            raise ValueError(f"{what} holds a number out of float range") from None
     raise ValueError(f"{what} must be an array of numbers")
+
+
+def _write_json(path: str, doc) -> None:
+    """Write a JSON document with sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _probgrid_json(grid: ProbGrid) -> dict:
@@ -241,9 +260,7 @@ def save_model(path: str, model: MtdrModel, report: FitReport | None = None) -> 
             "converged": report.converged,
             "final_objective": report.final_objective,
         }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def load_model(path: str):
@@ -256,8 +273,7 @@ def load_model(path: str):
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported model format_version")
     dom = _typed(doc["domain"], dict, "domain")
-    lo, hi = (_typed(dom[key], _NUMBER, f"domain {key}") for key in ("s0", "s1"))
-    domain = Domain(float(lo), float(hi))
+    domain = Domain(*(_float(dom[key], f"domain {key}") for key in ("s0", "s1")))
     prob_grid = _probgrid_from_json(doc["prob_grid"])
     node_grid = _nodegrid_from_json(doc["node_grid"], domain)
     reference = QuantileGrid(
@@ -298,17 +314,10 @@ def _resolve_reference(
 # -- leave-one-out cross validation ------------------------------------------
 
 
-def loocv(
-    data: DataSet,
-    subject_ids,
-    p: int,
-    domain: Domain,
-    grid: ProbGrid,
-    reference_choice: str,
-    cfg: FitConfig,
-) -> dict:
+def loocv(data: DataSet, subject_ids, reference_choice: str, cfg: FitConfig) -> dict:
     """Hold out each subject once, fit on the rest, score the prediction.
 
+    The predictor count, domain and probability grid are those of the data.
     The reference is resolved per fold from the training subjects, so a
     frechet reference never sees the held-out response.  Returns the report
     document with per-fold distances and weights; the reported awd is the
@@ -318,12 +327,13 @@ def loocv(
         raise ValueError("leave-one-out needs at least two subjects")
     if not data.has_responses:
         raise ValueError("leave-one-out needs responses")
+    domain, grid = data.domain, data.prob_grid
     folds = []
     distances = []
     for i in range(data.n):
         rest = DataSet(tuple(s for j, s in enumerate(data.subjects) if j != i))
         reference = _resolve_reference(reference_choice, domain, grid, rest)
-        model, _ = fit(rest, p, reference, cfg)
+        model, _ = fit(rest, data.p, reference, cfg)
         held = data.subjects[i]
         dist = wasserstein_distance(held.response, predict(model, held.predictors))
         distances.append(dist)
@@ -342,6 +352,49 @@ def loocv(
     }
 
 
+# -- study summaries ----------------------------------------------------------
+
+
+def write_study(
+    out_dir: str, stem: str, label: str, summary: StudySummary, t: int, extra=None
+) -> None:
+    """Write a Monte Carlo study summary as <stem>.csv and <stem>.json.
+
+    label fills the scenario column of the CSV and the scenario key of the
+    JSON document; t is the grid size the fits used; extra is merged into
+    the JSON document.  The scenario itself is read from summary.spec.
+    """
+    spec = summary.spec
+    os.makedirs(out_dir, exist_ok=True)
+    alpha_text = ";".join(repr(a) for a in spec.weights.values.tolist())
+    study = [label, spec.p, alpha_text, spec.n, spec.m, spec.reps, spec.seed]
+    with open(os.path.join(out_dir, f"{stem}.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["scenario", "p", "alpha_star", "n", "m", "reps", "seed", "metric", "mean", "sd"]
+        )
+        for name, stat in summary.metrics.items():
+            writer.writerow(study + [name, repr(stat["mean"]), repr(stat["sd"])])
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "scenario": label,
+        "p": spec.p,
+        "alpha_star": spec.weights.values.tolist(),
+        "n": spec.n,
+        "m": spec.m,
+        "reps": spec.reps,
+        "seed": spec.seed,
+        "t": t,
+        "noise_orders": list(spec.noise.support),
+        "metrics": summary.metrics,
+        "replications": [
+            {"iterations": r.iterations, "converged": r.converged}
+            for r in summary.results
+        ],
+    }
+    _write_json(os.path.join(out_dir, f"{stem}.json"), {**doc, **(extra or {})})
+
+
 # -- argument parsing ---------------------------------------------------------
 
 
@@ -356,18 +409,17 @@ def _parse_domain(text: str) -> Domain:
     return Domain(lo, hi)
 
 
-def _parse_float_list(text: str) -> list:
-    try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated numbers") from None
+def _parse_list(cast, what: str):
+    """An argparse type reading a comma-separated list of `what`."""
 
+    def parse(text: str) -> list:
+        try:
+            return [cast(x) for x in text.split(",") if x.strip() != ""]
+        except ValueError:
+            message = f"expected comma-separated {what}"
+            raise argparse.ArgumentTypeError(message) from None
 
-def _parse_int_list(text: str) -> list:
-    try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated integers") from None
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -377,26 +429,31 @@ def _build_parser() -> argparse.ArgumentParser:
         " Frechet means",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    numbers = _parse_list(float, "numbers")
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     sim.add_argument("--scenario", choices=["single", "multi"], required=True)
-    sim.add_argument("--alpha", type=_parse_float_list, required=True)
+    sim.add_argument("--alpha", type=numbers, required=True)
     sim.add_argument("--n", type=int, default=200)
     sim.add_argument("--m", type=int, default=200)
     sim.add_argument("--reps", type=int, default=30)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--t", type=int, default=1000)
-    sim.add_argument("--noise-orders", type=_parse_int_list, default=None)
+    sim.add_argument("--noise-orders", type=_parse_list(int, "integers"), default=None)
     sim.add_argument("--include-zero-order", action="store_true")
     sim.add_argument("--out", required=True, help="output directory")
 
-    fit_p = sub.add_parser("fit", help="fit a model to a long sample CSV")
-    fit_p.add_argument("--data", required=True)
-    fit_p.add_argument("--p", type=int, required=True)
-    fit_p.add_argument("--domain", type=_parse_domain, required=True)
-    fit_p.add_argument("--reference", default="uniform")
-    fit_p.add_argument("--t", type=int, default=1000)
-    fit_p.add_argument("--fixed-weights", type=_parse_float_list, default=None)
+    data_args = argparse.ArgumentParser(add_help=False)
+    data_args.add_argument("--data", required=True)
+    data_args.add_argument("--p", type=int, required=True)
+    data_args.add_argument("--domain", type=_parse_domain, required=True)
+    data_args.add_argument("--reference", default="uniform")
+    data_args.add_argument("--t", type=int, default=1000)
+
+    fit_p = sub.add_parser(
+        "fit", parents=[data_args], help="fit a model to a long sample CSV"
+    )
+    fit_p.add_argument("--fixed-weights", type=numbers, default=None)
     fit_p.add_argument("--out", required=True, help="model JSON path")
 
     pred = sub.add_parser("predict", help="predict responses for new subjects")
@@ -410,12 +467,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--metric", choices=["rmse", "awd"], default="rmse")
     ev.add_argument("--out", default=None, help="optional JSON output path")
 
-    lo = sub.add_parser("loocv", help="leave-one-out cross validation")
-    lo.add_argument("--data", required=True)
-    lo.add_argument("--p", type=int, required=True)
-    lo.add_argument("--domain", type=_parse_domain, required=True)
-    lo.add_argument("--reference", default="uniform")
-    lo.add_argument("--t", type=int, default=1000)
+    lo = sub.add_parser(
+        "loocv", parents=[data_args], help="leave-one-out cross validation"
+    )
     lo.add_argument("--out", required=True, help="report JSON path")
     return parser
 
@@ -450,48 +504,7 @@ def _cmd_simulate(args) -> int:
             noise=noise,
         )
     summary = run_replications(spec, FitConfig(t=args.t))
-    os.makedirs(args.out, exist_ok=True)
-    alpha_text = ";".join(repr(a) for a in spec.weights.values.tolist())
-    with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["scenario", "p", "alpha_star", "n", "m", "reps", "seed", "metric", "mean", "sd"]
-        )
-        for name, stat in summary.metrics.items():
-            writer.writerow(
-                [
-                    args.scenario,
-                    spec.p,
-                    alpha_text,
-                    spec.n,
-                    spec.m,
-                    spec.reps,
-                    spec.seed,
-                    name,
-                    repr(stat["mean"]),
-                    repr(stat["sd"]),
-                ]
-            )
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "scenario": args.scenario,
-        "p": spec.p,
-        "alpha_star": spec.weights.values.tolist(),
-        "n": spec.n,
-        "m": spec.m,
-        "reps": spec.reps,
-        "seed": spec.seed,
-        "t": args.t,
-        "noise_orders": list(spec.noise.support),
-        "metrics": summary.metrics,
-        "replications": [
-            {"iterations": r.iterations, "converged": r.converged}
-            for r in summary.results
-        ],
-    }
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_study(args.out, "summary", args.scenario, summary, args.t)
     return 0
 
 
@@ -533,32 +546,16 @@ def _cmd_evaluate(args) -> int:
     value = rmse(preds, actuals) if args.metric == "rmse" else awd(preds, actuals)
     sys.stdout.write(repr(value) + "\n")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(
-                {"format_version": FORMAT_VERSION, "metric": args.metric, "value": value},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        doc = {"format_version": FORMAT_VERSION, "metric": args.metric, "value": value}
+        _write_json(args.out, doc)
     return 0
 
 
 def _cmd_loocv(args) -> int:
     grid = ProbGrid.midpoint(args.t)
     res = ingest(args.data, args.domain, grid, args.p, require_response=True)
-    report = loocv(
-        res.dataset,
-        res.subject_ids,
-        args.p,
-        args.domain,
-        grid,
-        args.reference,
-        FitConfig(t=args.t),
-    )
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report = loocv(res.dataset, res.subject_ids, args.reference, FitConfig(t=args.t))
+    _write_json(args.out, report)
     return 0
 
 

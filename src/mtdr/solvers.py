@@ -107,7 +107,10 @@ def simplex_project(v) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     k = np.arange(1, v.size + 1)
-    rho = np.nonzero(u + (1.0 - css) / k > 0.0)[0][-1]
+    support = np.nonzero(u + (1.0 - css) / k > 0.0)[0]
+    if support.size == 0:
+        raise ValueError("projection entries too large: 1 - sum cancels in float64")
+    rho = support[-1]
     tau = (1.0 - css[rho]) / (rho + 1.0)
     return np.maximum(v + tau, 0.0)
 

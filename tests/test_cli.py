@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from mtdr.simulation import generate_dataset, single_predictor_scenario
 from mtdr.solvers import SimplexWeights
 
 UNIT = Domain(0.0, 1.0)
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_rows(path, rows, header=("subject_id", "variable", "value")):
@@ -219,6 +224,28 @@ class TestModelFile:
             before = predict(model, subject.predictors).values
             after = predict(loaded, subject.predictors).values
             assert np.array_equal(before, after)
+
+    def test_explicit_grids_round_trip(self, tmp_path):
+        grid = ProbGrid(np.array([0.25, 0.5, 0.75]))
+        nodes, edges = np.array([0.1, 0.3, 0.8]), np.array([0.0, 0.2, 0.5, 1.0])
+        node_grid = NodeGrid(UNIT, nodes, edges)
+        reference = QuantileGrid(UNIT, grid, np.array([0.2, 0.5, 0.9]))
+        maps = (
+            MonotoneMap(node_grid, np.array([0.15, 0.3, 0.7])),
+            MonotoneMap(node_grid, np.array([0.05, 0.4, 0.95])),
+        )
+        model = MtdrModel(reference, maps, SimplexWeights.of([0.3, 0.7]))
+        first = tmp_path / "model.json"
+        second = tmp_path / "again.json"
+        save_model(str(first), model)
+        doc = json.loads(first.read_text())
+        assert doc["prob_grid"]["kind"] == doc["node_grid"]["kind"] == "explicit"
+        loaded, _ = load_model(str(first))
+        save_model(str(second), loaded)
+        assert first.read_bytes() == second.read_bytes()
+        predictors = (QuantileGrid(UNIT, grid, np.array([0.1, 0.45, 0.6])),)
+        before = predict(model, predictors).values
+        assert np.array_equal(before, predict(loaded, predictors).values)
 
     def test_report_optional(self, fitted, tmp_path):
         _, model, _ = fitted
@@ -510,6 +537,32 @@ class TestCliSimulate:
         assert doc["p"] == 2
         assert doc["alpha_star"] == [0.2, 0.4, 0.4]
 
+    def test_study_script_writes_simulate_format(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert cli(
+            ["simulate", "--scenario", "single", "--alpha", "0.5", "--n", "6",
+             "--m", "5", "--reps", "1", "--t", "30", "--out", str(sim)]
+        ) == 0  # fmt: skip
+        keys = set(json.loads((sim / "summary.json").read_text()))
+        out = tmp_path / "study"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "run_simulation_study.py"),
+             "--quick", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )  # fmt: skip
+        studies = sorted(path.stem for path in out.glob("*.csv"))
+        assert len(studies) == 6
+        assert sorted(path.name for path in out.glob("*.json")) == sorted(
+            [f"{name}.json" for name in studies] + ["overview.json"]
+        )
+        for name in studies:
+            doc = json.loads((out / f"{name}.json").read_text())
+            assert set(doc) >= keys
+            assert doc["scenario"] == name
+        doc = json.loads((out / "transport_equivalence.json").read_text())
+        assert set(doc["fixed_weight_metrics"]) == set(doc["metrics"])
+
     def test_wrong_alpha_count_is_runtime_error(self, tmp_path, capsys):
         # three values for one predictor, and a pair off the simplex
         for alpha in ("0.1,0.2,0.7", "0.3,0.5"):
@@ -644,6 +697,14 @@ class TestExitCodes:
                 "prob_grid size must be an integer",
             ),
             ({**valid, "fit_report": 3}, "fit_report must be a JSON object"),
+            (
+                {**valid, "domain": {"s0": 0, "s1": 10**400}},
+                "domain s1 is out of float range",
+            ),
+            (
+                {**valid, "alpha": [10**400, 0, 0]},
+                "alpha holds a number out of float range",
+            ),
         ]
         data = tmp_path / "d.csv"
         sample_csv(data, n=2, m=4, seed=43)
@@ -663,6 +724,10 @@ class TestExitCodes:
         for doc, message in [
             ([1, 2], "reference file must be a JSON object"),
             ({"quantiles": "0.5"}, "reference quantiles must be an array of numbers"),
+            (
+                {"quantiles": [0.1, 10**400, 0.5, 0.9]},
+                "reference quantiles holds a number out of float range",
+            ),
         ]:
             ref_path.write_text(json.dumps(doc))
             code = cli(

@@ -133,6 +133,10 @@ class TestSimplexProject:
             simplex_project(np.array([]))
         with pytest.raises(ValueError, match="finite"):
             simplex_project(np.array([np.inf, 0.0]))
+        # entries so large that 1 - sum cancels leave no threshold to pick
+        for v in ([1e20], [3e16, 1.0]):
+            with pytest.raises(ValueError, match="too large"):
+                simplex_project(np.array(v))
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
     @settings(max_examples=150)
