@@ -212,10 +212,19 @@ def _probgrid_json(grid: ProbGrid) -> dict:
     return {"kind": "explicit", "levels": grid.levels.tolist()}
 
 
-def _probgrid_from_json(spec) -> ProbGrid:
+def _sized(spec, what: str, size: int, of: str) -> int:
+    """A grid's declared size, checked before any grid of that size is built."""
+    declared = _typed(spec["size"], int, f"{what} size")
+    if declared != size:
+        raise ValueError(f"{what} size {declared} does not match {of} ({size})")
+    return declared
+
+
+def _probgrid_from_json(spec, size: int) -> ProbGrid:
     spec = _typed(spec, dict, "prob_grid")
     if spec["kind"] == "midpoint":
-        return ProbGrid.midpoint(_typed(spec["size"], int, "prob_grid size"))
+        t = _sized(spec, "prob_grid", size, "the reference quantile count")
+        return ProbGrid.midpoint(t)
     return ProbGrid(_floats(spec["levels"], "prob_grid levels"))
 
 
@@ -230,10 +239,11 @@ def _nodegrid_json(grid: NodeGrid) -> dict:
     }
 
 
-def _nodegrid_from_json(spec, domain: Domain) -> NodeGrid:
+def _nodegrid_from_json(spec, domain: Domain, size: int) -> NodeGrid:
     spec = _typed(spec, dict, "node_grid")
     if spec["kind"] == "uniform":
-        return NodeGrid.uniform(domain, _typed(spec["size"], int, "node_grid size"))
+        t = _sized(spec, "node_grid", size, "the map length")
+        return NodeGrid.uniform(domain, t)
     return NodeGrid(
         domain,
         _floats(spec["nodes"], "node_grid nodes"),
@@ -274,12 +284,14 @@ def load_model(path: str):
         raise ValueError("unsupported model format_version")
     dom = _typed(doc["domain"], dict, "domain")
     domain = Domain(*(_float(dom[key], f"domain {key}") for key in ("s0", "s1")))
-    prob_grid = _probgrid_from_json(doc["prob_grid"])
-    node_grid = _nodegrid_from_json(doc["node_grid"], domain)
-    reference = QuantileGrid(
-        domain, prob_grid, _floats(doc["reference_quantiles"], "reference_quantiles")
-    )
-    maps = tuple(MonotoneMap(node_grid, z) for z in _floats(doc["maps"], "maps"))
+    ref_values = _floats(doc["reference_quantiles"], "reference_quantiles")
+    map_values = _floats(doc["maps"], "maps")
+    if map_values.ndim != 2:
+        raise ValueError("maps must be an array of equal-length arrays of numbers")
+    prob_grid = _probgrid_from_json(doc["prob_grid"], ref_values.size)
+    node_grid = _nodegrid_from_json(doc["node_grid"], domain, map_values.shape[1])
+    reference = QuantileGrid(domain, prob_grid, ref_values)
+    maps = tuple(MonotoneMap(node_grid, z) for z in map_values)
     weights = SimplexWeights.of(_floats(doc["alpha"], "alpha"))
     model = MtdrModel(reference, maps, weights)
     report = None
@@ -320,8 +332,9 @@ def loocv(data: DataSet, subject_ids, reference_choice: str, cfg: FitConfig) -> 
     The predictor count, domain and probability grid are those of the data.
     The reference is resolved per fold from the training subjects, so a
     frechet reference never sees the held-out response.  Returns the report
-    document with per-fold distances and weights; the reported awd is the
-    mean of the fold distances.
+    document with each fold's distance, weights, and the iterations and
+    converged flag of its fit; the reported awd is the mean of the fold
+    distances.
     """
     if data.n < 2:
         raise ValueError("leave-one-out needs at least two subjects")
@@ -333,7 +346,7 @@ def loocv(data: DataSet, subject_ids, reference_choice: str, cfg: FitConfig) -> 
     for i in range(data.n):
         rest = DataSet(tuple(s for j, s in enumerate(data.subjects) if j != i))
         reference = _resolve_reference(reference_choice, domain, grid, rest)
-        model, _ = fit(rest, data.p, reference, cfg)
+        model, report = fit(rest, data.p, reference, cfg)
         held = data.subjects[i]
         dist = wasserstein_distance(held.response, predict(model, held.predictors))
         distances.append(dist)
@@ -342,6 +355,8 @@ def loocv(data: DataSet, subject_ids, reference_choice: str, cfg: FitConfig) -> 
                 "subject_id": subject_ids[i],
                 "distance": dist,
                 "alpha": model.weights.values.tolist(),
+                "iterations": report.iterations,
+                "converged": report.converged,
             }
         )
     return {

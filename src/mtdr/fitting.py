@@ -10,10 +10,14 @@ vector is
 where q_0 is the reference quantile vector.  Reading a map at a quantile
 stack is a fixed linear interpolation of its node values, so for fixed
 weights the empirical squared-Wasserstein risk is a quadratic in each map's
-node values, and for fixed maps a quadratic in the weights.  Fitting
-alternates a majorize-minimize step for each map (one weighted isotonic
-regression) with an exact simplex least squares step for the weights;
-neither step raises the risk.
+node values, and for fixed maps a quadratic in the weights.  An ordinary
+sweep of the fit takes a majorize-minimize step for each map (one weighted
+isotonic regression), then an exact simplex least squares step for the
+weights; neither step raises the risk.  The sweep is a fixed-point map of
+the map node values and weights, and the fit accelerates it by SQUAREM
+(Varadhan & Roland 2008): every two sweeps it extrapolates, projects the
+jump back onto monotone maps and simplex weights, and keeps one sweep from
+there only if it does not raise the risk.
 """
 
 from __future__ import annotations
@@ -119,11 +123,12 @@ class DataSet:
 class FitConfig:
     """Tuning constants of the alternating fit.
 
-    t is the spatial node count for map updates; rel_tol stops the outer
-    loop once an iteration decreases the objective by less than
-    rel_tol * (initial objective); weights below alpha_floor freeze their
-    map update; min_slope >= 0 optionally keeps fitted maps strictly
-    increasing.
+    t is the spatial node count for map updates; rel_tol stops the fit once
+    a kept iterate decreases the objective by at most rel_tol * (initial
+    objective); max_outer_iter caps the kept iterates (ordinary sweeps plus
+    accepted stabilising sweeps, see fit), so a fit runs at most
+    1.5 * max_outer_iter sweeps; weights below alpha_floor freeze their map
+    update; min_slope >= 0 optionally keeps fitted maps strictly increasing.
     """
 
     t: int = 1000
@@ -143,12 +148,16 @@ class FitConfig:
 class FitReport:
     """Objective trajectory of one fit.
 
-    trajectory[0] is the risk after initialization, one entry per outer
-    iteration follows.  Every step of the fit is a descent step, so the
-    trajectory is nonincreasing up to rounding; construction rejects an
-    increase beyond 1e-6 times the initial objective.  converged is True
-    when the last iteration decreased the risk by at most rel_tol times
-    the initial objective, False when the fit stopped at max_outer_iter.
+    trajectory[0] is the risk after initialization; one entry follows for
+    each iterate the fit kept: every ordinary sweep and every accepted
+    stabilising sweep of its SQUAREM cycles (a discarded stabilising sweep
+    adds none).  The fit keeps only iterates that do not raise the risk, so
+    the trajectory is nonincreasing up to rounding; construction rejects an
+    increase beyond 1e-6 times the initial objective.  iterations counts
+    the kept iterates and equals max_outer_iter when the fit was capped.
+    converged is True when the last kept iterate decreased the risk by at
+    most rel_tol times the initial objective, False when the fit stopped
+    at max_outer_iter.
     """
 
     trajectory: np.ndarray
@@ -393,14 +402,31 @@ def fit(
     cfg: FitConfig = FitConfig(),
     fixed_weights: SimplexWeights | None = None,
 ):
-    """Fit the regression operator by alternating block descent.
+    """Fit the regression operator by accelerated alternating block descent.
 
-    Starting from identity maps, repeats: one majorize-minimize step for
-    each map with weight above the floor (in index order), then a simplex
-    least squares update of the weights (skipped when fixed_weights is
-    given).  Neither step raises the empirical risk.  Stops once an outer
-    iteration decreases the risk by at most rel_tol times the initial
-    risk (converged), or after max_outer_iter iterations.
+    An ordinary sweep F takes one majorize-minimize step for each map with
+    weight above the floor and some node mass (in index order), then a
+    simplex least squares update of the weights (skipped when fixed_weights
+    is given); it never raises the empirical risk.  Starting from identity
+    maps, the fit repeats a SQUAREM cycle on theta, the map node values and
+    the weights.  Two ordinary sweeps give theta1 = F(theta0) and
+    theta2 = F(theta1).  With r = theta1 - theta0 and
+    v = theta2 - 2 theta1 + theta0, the jump theta0 + 2a r + a^2 v takes
+    the SqS3 step length a = max(1, |r| / |v|), bounded by a step_max that
+    starts at 1, grows fourfold after a kept cycle that used it and shrinks
+    fourfold (not below 1) after a discarded one.  Projection makes the
+    jump feasible: each active map by one isotonic regression on its box
+    (frozen maps keep their theta2 values), the weights onto the simplex.
+    One stabilising sweep follows; it is kept only if its risk is at most
+    the risk at theta2, else the fit continues from theta2.
+
+    The report's trajectory holds the risk of every iterate kept (each
+    ordinary sweep and each accepted stabilising sweep), so it is
+    nonincreasing.  The fit stops once a kept iterate decreases the risk by
+    at most rel_tol times the initial risk (converged), or once the
+    trajectory holds max_outer_iter entries after the initial one.  A
+    discarded stabilising sweep adds no entry and a cycle discards at most
+    one, so a fit runs at most 1.5 max_outer_iter sweeps.
 
     Returns
     -------
@@ -412,14 +438,16 @@ def fit(
     if fixed_weights is not None and fixed_weights.size != p + 1:
         raise ValueError("fixed weights must have length p + 1")
 
-    dom = data.domain
-    node_grid = NodeGrid.uniform(dom, cfg.t)
+    dom, t = data.domain, cfg.t
+    node_grid = NodeGrid.uniform(dom, t)
     shift, top = _slope_floor(node_grid, cfg.min_slope)
     x_ext = MonotoneMap.identity(node_grid).knots()[0]
     ops = [_Interp(x_ext, Q) for Q in _predictor_stacks(data, reference)]
     resp = _response_stack(data)
     scale = data.prob_grid.step / data.n
 
+    # the live iterate: map knots, weights, each map read at its stack (B)
+    # and the residual; cycle states are kept as packed vectors theta
     knots = [x_ext.copy() for _ in range(p + 1)]
     B = np.stack([op(z) for op, z in zip(ops, knots)])
     if fixed_weights is not None:
@@ -427,12 +455,13 @@ def fit(
     else:
         alpha = simplex_least_squares(_weight_problem(B, resp, scale)).values
     resid = alpha @ B - resp
-    trajectory = [_risk(resid, scale)]
 
-    converged = False
-    for _ in range(cfg.max_outer_iter):
+    def active(k, alpha):
+        return alpha[k] > 0.0 and alpha[k] >= cfg.alpha_floor and ops[k].mass.any()
+
+    def sweep(alpha, resid):
         for k in range(p + 1):
-            if alpha[k] == 0.0 or alpha[k] < cfg.alpha_floor or not ops[k].mass.any():
+            if not active(k, alpha):
                 continue
             prob = _map_step(ops[k], knots[k], alpha[k], resid, dom.lo, top, shift)
             knots[k][1:-1] = weighted_isotonic(prob) + shift
@@ -441,11 +470,60 @@ def fit(
             B[k] = moved
         if fixed_weights is None:
             alpha = simplex_least_squares(_weight_problem(B, resp, scale)).values
-        resid = alpha @ B - resp
-        trajectory.append(_risk(resid, scale))
-        if trajectory[-2] - trajectory[-1] <= cfg.rel_tol * trajectory[0]:
-            converged = True
-            break
+        return alpha, alpha @ B - resp
+
+    def pack(alpha):
+        return np.concatenate([z[1:-1] for z in knots] + [alpha])
+
+    def load(theta):
+        for k, z in enumerate(knots):
+            z[1:-1] = theta[k * t : (k + 1) * t]
+            B[k] = ops[k](z)
+        alpha = theta[(p + 1) * t :].copy()
+        return alpha, alpha @ B - resp
+
+    def project(jump, theta2, alpha):
+        """The extrapolated iterate made feasible; frozen maps keep theta2."""
+        out = theta2.copy()
+        for k in range(p + 1):
+            if active(k, alpha):
+                seg = slice(k * t, (k + 1) * t)
+                box = IsotonicProblem(jump[seg] - shift, np.ones(t), dom.lo, top)
+                out[seg] = weighted_isotonic(box) + shift
+        if fixed_weights is None:
+            out[(p + 1) * t :] = simplex_project(jump[(p + 1) * t :])
+        return out
+
+    trajectory = [_risk(resid, scale)]
+    cycle = [pack(alpha)]
+    step_max = 1.0
+    converged = False
+    while not converged and len(trajectory) <= cfg.max_outer_iter:
+        if len(cycle) < 3:  # the cycle's ordinary sweeps theta1, theta2
+            alpha, resid = sweep(alpha, resid)
+            risk = _risk(resid, scale)
+            cycle.append(pack(alpha))
+        else:
+            theta0, theta1, theta2 = cycle
+            r = theta1 - theta0
+            v = theta2 - theta1 - r
+            norm_v = np.linalg.norm(v)
+            a = min(step_max, max(1.0, np.linalg.norm(r) / norm_v)) if norm_v else 1.0
+            jump = theta0 + 2.0 * a * r + a * a * v
+            alpha, resid = load(project(jump, theta2, alpha))
+            alpha, resid = sweep(alpha, resid)  # the stabilising sweep
+            risk = _risk(resid, scale)
+            if risk > trajectory[-1]:  # discard it, continue from theta2
+                if a == step_max:
+                    step_max = max(1.0, step_max / 4.0)
+                alpha, resid = load(theta2)
+                cycle = [theta2]
+                continue
+            if a == step_max:
+                step_max *= 4.0
+            cycle = [pack(alpha)]
+        converged = trajectory[-1] - risk <= cfg.rel_tol * trajectory[0]
+        trajectory.append(risk)
 
     maps = tuple(MonotoneMap(node_grid, z[1:-1]) for z in knots)
     weights = (

@@ -612,6 +612,10 @@ class TestCliLoocv:
         assert all(d >= 0.0 for d in distances)
         assert all(len(f["alpha"]) == 2 for f in doc["folds"])
         assert doc["awd"] == float(np.mean(distances))
+        for f in doc["folds"]:
+            assert type(f["iterations"]) is int and type(f["converged"]) is bool
+            assert 1 <= f["iterations"] <= FitConfig().max_outer_iter
+            assert f["converged"] or f["iterations"] == FitConfig().max_outer_iter
 
     def test_byte_identical_reruns(self, tmp_path):
         _, first = self.run_loocv(tmp_path, "a.json")
@@ -705,6 +709,16 @@ class TestExitCodes:
                 {**valid, "alpha": [10**400, 0, 0]},
                 "alpha holds a number out of float range",
             ),
+            # sizes checked against the arrays before any grid is built
+            (
+                {**valid, "prob_grid": {"kind": "midpoint", "size": 10**12}},
+                "prob_grid size 1000000000000 does not match",
+            ),
+            (
+                {**valid, "node_grid": {"kind": "uniform", "size": 10**12}},
+                "node_grid size 1000000000000 does not match",
+            ),
+            ({**valid, "maps": [0.1, 0.2]}, "maps must be an array of equal-length"),
         ]
         data = tmp_path / "d.csv"
         sample_csv(data, n=2, m=4, seed=43)

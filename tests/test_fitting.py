@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mtdr.cli import ingest, write_long_csv
 from mtdr.fitting import (
     DataSet,
     FitConfig,
@@ -27,6 +28,7 @@ from mtdr.quantile_core import (
 from mtdr.simulation import (
     NoiseSpec,
     generate_dataset,
+    mortality_like_samples,
     multi_predictor_scenario,
     sine_warp,
     single_predictor_scenario,
@@ -382,6 +384,72 @@ class TestFit:
             pa = predict(model, s.predictors)
             pb = predict(model_sw, t_.predictors)
             assert wasserstein_distance(pa, pb) < 5e-4
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "case", ["free", "fixed", "min_slope", "zero_weight", "no_mass"]
+    )
+    def test_accelerated_fit_keeps_report_exact(self, p, case):
+        # nodes off the probability grid, so no map step is exact
+        rng = np.random.default_rng(700 + p)
+        t, nodes, n = 40, 25, 20
+        weights = np.r_[0.2, np.full(p, 0.8 / p)]
+        truth = toy_model(t, weights, rng.integers(-3, 4, p + 1))
+        subjects = []
+        for _ in range(n):
+            preds = tuple(random_measure(rng, t) for _ in range(p))
+            q = predict(truth, preds).values
+            q = 0.8 * q + 0.2 * sine_warp(int(rng.choice([-2, 2])), q)
+            subjects.append(Subject(preds, QuantileGrid(UNIT, truth.prob_grid, q)))
+        if case == "no_mass":
+            atom = QuantileGrid(UNIT, truth.prob_grid, np.ones(t))
+            subjects = [
+                Subject((atom,) + s.predictors[1:], s.response) for s in subjects
+            ]
+        data = DataSet(tuple(subjects))
+        cfg = FitConfig(
+            t=nodes,
+            min_slope=0.3 if case == "min_slope" else 0.0,
+            alpha_floor=0.0 if case == "zero_weight" else 1e-8,
+        )
+        fixed = None
+        if case == "fixed":
+            fixed = SimplexWeights.of(rng.dirichlet(np.ones(p + 1)))
+        elif case == "zero_weight":
+            fixed = SimplexWeights.of(np.r_[rng.dirichlet(np.ones(p)), 0.0])
+        model, report = fit(data, p, truth.reference, cfg, fixed)
+        assert_descends(report, cfg)
+        assert report.final_objective == pytest.approx(
+            empirical_risk(model, data), rel=1e-9
+        )
+        if fixed is not None:
+            assert np.array_equal(model.weights.values, fixed.values)
+        if case == "zero_weight":
+            assert np.array_equal(model.maps[p].values, model.node_grid.nodes)
+        if case == "no_mass":
+            assert np.array_equal(model.maps[1].values, model.node_grid.nodes)
+
+    def test_loocv_fold_does_not_stop_early(self, tmp_path):
+        # one fold of the mortality-like file as `mtdr loocv` fits it; the
+        # plain sweep needs more than the default cap on it
+        pred, resp = mortality_like_samples(n=34, m=500, seed=7)
+        path = tmp_path / "mortality_like.csv"
+        write_long_csv(path, pred, resp)
+        grid = ProbGrid.midpoint(300)
+        data = ingest(str(path), Domain(0.0, 100.0), grid, 2).dataset
+        fold = DataSet(data.subjects[1:])
+        responses = [s.response for s in fold.subjects]
+        reference = frechet_mean(responses, np.full(fold.n, 1.0 / fold.n))
+        cfg = FitConfig(t=300)
+        _, report = fit(fold, 2, reference, cfg)
+        assert report.converged
+        assert_descends(report, cfg)
+        # the rel_tol rule itself stops a few 1e-6 (relative) above the
+        # optimum on these folds, which a stationarity test would tighten
+        tight = FitConfig(t=300, rel_tol=1e-12, max_outer_iter=3000)
+        _, best = fit(fold, 2, reference, tight)
+        gap = report.final_objective - best.final_objective
+        assert 0.0 <= gap <= 1e-5 * best.final_objective
 
     def test_reference_must_match(self, rng):
         gen = noiseless_exact_data(n=10, t=50, seed=2)
