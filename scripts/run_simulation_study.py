@@ -17,8 +17,8 @@ through mtdr.cli.write_study, the writer of `mtdr simulate`, so both files
 have the format of that command's summary.csv and summary.json with the
 study name as the scenario; transport_equivalence.json also carries the
 fixed-weight metrics.  overview.json holds the wall time of each study.
-The full suite took 520 s on two cores; --quick runs a reduced suite in
-about 7 s.
+The full suite took about 4.5 min (275 s) on two cores; --quick runs a
+reduced suite in about 3.5 s (3.2-4.0 s) on the same two cores.
 """
 
 import argparse

@@ -168,7 +168,12 @@ def write_long_csv(path, pred_samples, resp_samples=None, subject_ids=None) -> N
 
 
 _NUMBER = (int, float)
-_JSON_KINDS = {dict: "a JSON object", int: "an integer", _NUMBER: "a number"}
+_JSON_KINDS = {
+    dict: "a JSON object",
+    int: "an integer",
+    _NUMBER: "a number",
+    bool: "true or false",
+}
 
 
 def _typed(value, kind, what: str):
@@ -186,16 +191,22 @@ def _float(value, what: str) -> float:
         raise ValueError(f"{what} is out of float range") from None
 
 
-def _floats(value, what: str) -> np.ndarray:
-    """A JSON array of numbers read from a file, as a float array."""
-    if isinstance(value, list):
-        try:
-            return np.asarray(value, dtype=float)
-        except TypeError:
-            pass
-        except OverflowError:
-            raise ValueError(f"{what} holds a number out of float range") from None
-    raise ValueError(f"{what} must be an array of numbers")
+def _floats(value, what: str, ndim: int = 1) -> np.ndarray:
+    """A JSON array of numbers (ndim 1) or of number arrays (ndim 2), as floats."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be an array of numbers")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except TypeError:
+        raise ValueError(f"{what} must be an array of numbers") from None
+    except OverflowError:
+        raise ValueError(f"{what} holds a number out of float range") from None
+    except ValueError:  # ragged nesting, or a string that is no number
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        shape = "a flat array" if ndim == 1 else "an array of equal-length arrays"
+        raise ValueError(f"{what} must be {shape} of numbers")
+    return arr
 
 
 def _write_json(path: str, doc) -> None:
@@ -285,9 +296,7 @@ def load_model(path: str):
     dom = _typed(doc["domain"], dict, "domain")
     domain = Domain(*(_float(dom[key], f"domain {key}") for key in ("s0", "s1")))
     ref_values = _floats(doc["reference_quantiles"], "reference_quantiles")
-    map_values = _floats(doc["maps"], "maps")
-    if map_values.ndim != 2:
-        raise ValueError("maps must be an array of equal-length arrays of numbers")
+    map_values = _floats(doc["maps"], "maps", ndim=2)
     prob_grid = _probgrid_from_json(doc["prob_grid"], ref_values.size)
     node_grid = _nodegrid_from_json(doc["node_grid"], domain, map_values.shape[1])
     reference = QuantileGrid(domain, prob_grid, ref_values)
@@ -298,7 +307,8 @@ def load_model(path: str):
     if "fit_report" in doc:
         rep = _typed(doc["fit_report"], dict, "fit_report")
         report = FitReport(
-            _floats(rep["trajectory"], "fit_report trajectory"), bool(rep["converged"])
+            _floats(rep["trajectory"], "fit_report trajectory"),
+            _typed(rep["converged"], bool, "fit_report converged"),
         )
     return model, report
 

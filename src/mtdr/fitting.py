@@ -123,25 +123,20 @@ class DataSet:
 class FitConfig:
     """Tuning constants of the alternating fit.
 
-    t is the spatial node count for map updates; rel_tol stops the fit once
-    a kept iterate decreases the objective by at most rel_tol * (initial
-    objective); max_outer_iter caps the kept iterates (ordinary sweeps plus
-    accepted stabilising sweeps, see fit), so a fit runs at most
-    1.5 * max_outer_iter sweeps; weights below alpha_floor freeze their map
-    update; min_slope >= 0 optionally keeps fitted maps strictly increasing.
+    t >= 2 is the spatial node count for map updates; rel_tol >= 0 stops
+    the fit once a kept iterate decreases the objective by at most
+    rel_tol * (initial objective); max_outer_iter >= 1 caps the kept
+    iterates (ordinary sweeps plus accepted stabilising sweeps, see fit),
+    so a fit runs at most 1.5 * max_outer_iter sweeps.
     """
 
     t: int = 1000
     max_outer_iter: int = 200
     rel_tol: float = 1e-8
-    alpha_floor: float = 1e-8
-    min_slope: float = 0.0
 
     def __post_init__(self):
-        if self.t < 2 or self.max_outer_iter < 1:
-            raise ValueError("t and max_outer_iter must be positive")
-        if self.rel_tol < 0.0 or self.alpha_floor < 0.0 or self.min_slope < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        if self.t < 2 or self.max_outer_iter < 1 or not self.rel_tol >= 0.0:
+            raise ValueError("need t >= 2, max_outer_iter >= 1 and rel_tol >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,40 +294,35 @@ def _weight_problem(B: np.ndarray, resp: np.ndarray, scale: float) -> SimplexLSP
     return SimplexLSProblem(0.5 * (gram + gram.T), (B @ resp) * scale)
 
 
-def _map_step(op: _Interp, z_ext, a, resid, lo, hi, shift=0.0) -> IsotonicProblem:
+# weights below this floor freeze their map: its majorize-minimize step
+# divides the risk gradient by the weight
+_WEIGHT_FLOOR = 1e-8
+
+
+def _updatable(a: float, op: _Interp) -> bool:
+    """Whether a map of weight a, read through op, takes map updates.
+
+    It does not when a is below _WEIGHT_FLOOR, or when no node carries mass
+    (the data read the map only at its pinned endpoints).
+    """
+    return a >= _WEIGHT_FLOOR and op.mass.any()
+
+
+def _map_step(op: _Interp, z_ext, a, resid, dom: Domain) -> IsotonicProblem:
     """Isotonic problem of one majorize-minimize step for one map.
 
     The risk is a quadratic in the map's node values with Hessian
     proportional to a^2 P'P, and diag(mass) majorizes P'P: P is nonnegative
-    with row sums at most one.  Minimizing the majorizer over monotone maps
-    is a weighted isotonic regression with weights mass and targets
-    z - P'resid / (a mass); nodes without mass keep their value as target.
-    The problem is posed for z - shift, whose solution is shifted back.
+    with row sums at most one.  Minimizing the majorizer over maps that are
+    nondecreasing in the domain is a weighted isotonic regression with
+    weights mass and targets z - P'resid / (a mass); nodes without mass
+    keep their value as target.  The map must take updates (_updatable).
     """
     mass = op.mass
     step = np.divide(
         op.adjoint(resid)[1:-1], a * mass, out=np.zeros_like(mass), where=mass > 0.0
     )
-    return IsotonicProblem(z_ext[1:-1] - step - shift, mass, lo, hi)
-
-
-def _slope_floor(node_grid: NodeGrid, min_slope: float):
-    """Shift and upper bound that turn the slope floor into a box.
-
-    A map whose slopes between nodes are at least min_slope is y + shift,
-    with shift = min_slope (x - x_0) and y nondecreasing in [lo, top],
-    top = hi - shift[-1] (rounded down so that top + shift[-1] <= hi).
-    """
-    dom = node_grid.domain
-    shift = min_slope * (node_grid.nodes - node_grid.nodes[0])
-    top = dom.hi - shift[-1]
-    while top + shift[-1] > dom.hi:
-        top = np.nextafter(top, -np.inf)
-    if top <= dom.lo:
-        raise ValueError(
-            f"min_slope={min_slope} leaves no monotone map between the domain ends"
-        )
-    return shift, top
+    return IsotonicProblem(z_ext[1:-1] - step, mass, dom.lo, dom.hi)
 
 
 def _check_reference(reference: QuantileGrid, data: DataSet) -> None:
@@ -372,9 +362,7 @@ def empirical_risk(model: MtdrModel, data: DataSet) -> float:
     return _risk(resid, data.prob_grid.step / data.n)
 
 
-def map_update_problem(
-    model: MtdrModel, data: DataSet, k: int, alpha_floor: float = 1e-8
-) -> IsotonicProblem:
+def map_update_problem(model: MtdrModel, data: DataSet, k: int) -> IsotonicProblem:
     """Isotonic subproblem of one majorize-minimize step for the k-th map.
 
     Holding the weights and the other maps fixed, the risk is a quadratic
@@ -382,17 +370,20 @@ def map_update_problem(
     node masses of the interpolation operator that reads the map at the
     k-th quantile stack, so solving the returned problem (weights: node
     masses; targets: the current node values minus the risk gradient
-    scaled by the mass and the k-th weight) never raises the risk.
+    scaled by the mass and the k-th weight) never raises the risk.  A map
+    that fit keeps frozen has no such problem: a ValueError is raised when
+    the k-th weight is below 1e-8 or no node carries mass of the k-th stack.
     """
     if not 0 <= k <= model.p:
         raise ValueError("map index out of range")
     ops, knots = _operators(model, data)
     alpha = model.weights.values
-    if alpha[k] == 0.0 or alpha[k] < alpha_floor:
-        raise ValueError("weight below floor: map update is undefined")
+    if not _updatable(alpha[k], ops[k]):
+        raise ValueError(
+            f"map {k} has weight below floor or no node mass: map update is undefined"
+        )
     resid = _prediction(alpha, ops, knots) - _response_stack(data)
-    dom = model.domain
-    return _map_step(ops[k], knots[k], alpha[k], resid, dom.lo, dom.hi)
+    return _map_step(ops[k], knots[k], alpha[k], resid, model.domain)
 
 
 def fit(
@@ -405,20 +396,21 @@ def fit(
     """Fit the regression operator by accelerated alternating block descent.
 
     An ordinary sweep F takes one majorize-minimize step for each map with
-    weight above the floor and some node mass (in index order), then a
-    simplex least squares update of the weights (skipped when fixed_weights
-    is given); it never raises the empirical risk.  Starting from identity
-    maps, the fit repeats a SQUAREM cycle on theta, the map node values and
-    the weights.  Two ordinary sweeps give theta1 = F(theta0) and
-    theta2 = F(theta1).  With r = theta1 - theta0 and
-    v = theta2 - 2 theta1 + theta0, the jump theta0 + 2a r + a^2 v takes
-    the SqS3 step length a = max(1, |r| / |v|), bounded by a step_max that
-    starts at 1, grows fourfold after a kept cycle that used it and shrinks
-    fourfold (not below 1) after a discarded one.  Projection makes the
-    jump feasible: each active map by one isotonic regression on its box
-    (frozen maps keep their theta2 values), the weights onto the simplex.
-    One stabilising sweep follows; it is kept only if its risk is at most
-    the risk at theta2, else the fit continues from theta2.
+    weight at least 1e-8 and some node mass, in index order (the other maps
+    stay frozen, see map_update_problem), then a simplex least squares
+    update of the weights (skipped when fixed_weights is given); it never
+    raises the empirical risk.  Starting from identity maps, the fit
+    repeats a SQUAREM cycle on theta, the map node values and the weights.
+    Two ordinary sweeps give theta1 = F(theta0) and theta2 = F(theta1).
+    With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, the jump
+    theta0 + 2a r + a^2 v takes the SqS3 step length a = max(1, |r| / |v|),
+    bounded by a step_max that starts at 1, grows fourfold after a kept
+    cycle that used it and shrinks fourfold (not below 1) after a discarded
+    one.  Projection makes the jump feasible: each map that takes updates
+    by one isotonic regression on the box of the domain (frozen maps keep
+    their theta2 values), the weights onto the simplex.  One stabilising
+    sweep follows; it is kept only if its risk is at most the risk at
+    theta2, else the fit continues from theta2.
 
     The report's trajectory holds the risk of every iterate kept (each
     ordinary sweep and each accepted stabilising sweep), so it is
@@ -440,7 +432,6 @@ def fit(
 
     dom, t = data.domain, cfg.t
     node_grid = NodeGrid.uniform(dom, t)
-    shift, top = _slope_floor(node_grid, cfg.min_slope)
     x_ext = MonotoneMap.identity(node_grid).knots()[0]
     ops = [_Interp(x_ext, Q) for Q in _predictor_stacks(data, reference)]
     resp = _response_stack(data)
@@ -456,15 +447,12 @@ def fit(
         alpha = simplex_least_squares(_weight_problem(B, resp, scale)).values
     resid = alpha @ B - resp
 
-    def active(k, alpha):
-        return alpha[k] > 0.0 and alpha[k] >= cfg.alpha_floor and ops[k].mass.any()
-
     def sweep(alpha, resid):
         for k in range(p + 1):
-            if not active(k, alpha):
+            if not _updatable(alpha[k], ops[k]):
                 continue
-            prob = _map_step(ops[k], knots[k], alpha[k], resid, dom.lo, top, shift)
-            knots[k][1:-1] = weighted_isotonic(prob) + shift
+            prob = _map_step(ops[k], knots[k], alpha[k], resid, dom)
+            knots[k][1:-1] = weighted_isotonic(prob)
             moved = ops[k](knots[k])
             resid += alpha[k] * (moved - B[k])
             B[k] = moved
@@ -486,10 +474,10 @@ def fit(
         """The extrapolated iterate made feasible; frozen maps keep theta2."""
         out = theta2.copy()
         for k in range(p + 1):
-            if active(k, alpha):
+            if _updatable(alpha[k], ops[k]):
                 seg = slice(k * t, (k + 1) * t)
-                box = IsotonicProblem(jump[seg] - shift, np.ones(t), dom.lo, top)
-                out[seg] = weighted_isotonic(box) + shift
+                box = IsotonicProblem(jump[seg], np.ones(t), dom.lo, dom.hi)
+                out[seg] = weighted_isotonic(box)
         if fixed_weights is None:
             out[(p + 1) * t :] = simplex_project(jump[(p + 1) * t :])
         return out

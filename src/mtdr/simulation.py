@@ -379,21 +379,23 @@ def generate_dataset(
     return GeneratedData(train, test, truth, test_exact, samples)
 
 
-def rmse(predictions, actuals) -> float:
-    """Root mean squared Wasserstein distance between paired measures."""
+def _paired_distances(predictions, actuals) -> list:
+    """Wasserstein distance of each prediction to its paired actual."""
     predictions, actuals = list(predictions), list(actuals)
     if len(predictions) != len(actuals) or not predictions:
         raise ValueError("need equally many predictions and actuals")
-    sq = [wasserstein_distance(q, r) ** 2 for q, r in zip(predictions, actuals)]
+    return [wasserstein_distance(q, r) for q, r in zip(predictions, actuals)]
+
+
+def rmse(predictions, actuals) -> float:
+    """Root mean squared Wasserstein distance between paired measures."""
+    sq = [d ** 2 for d in _paired_distances(predictions, actuals)]
     return float(np.sqrt(np.mean(sq)))
 
 
 def awd(predictions, actuals) -> float:
     """Average Wasserstein distance between paired measures."""
-    predictions, actuals = list(predictions), list(actuals)
-    if len(predictions) != len(actuals) or not predictions:
-        raise ValueError("need equally many predictions and actuals")
-    return float(np.mean([wasserstein_distance(q, r) for q, r in zip(predictions, actuals)]))
+    return float(np.mean(_paired_distances(predictions, actuals)))
 
 
 @dataclass(frozen=True)

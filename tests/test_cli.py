@@ -685,6 +685,8 @@ class TestExitCodes:
         model_path = tmp_path / "model.json"
         save_model(str(model_path), identity_model(t=4))
         valid = json.loads(model_path.read_text())
+        ref = valid["reference_quantiles"]
+        report = {"trajectory": [1.0, 0.5], "converged": False}
         cases = [
             ({"format_version": 99}, "format_version"),
             ([valid], "model file must be a JSON object"),
@@ -719,6 +721,24 @@ class TestExitCodes:
                 "node_grid size 1000000000000 does not match",
             ),
             ({**valid, "maps": [0.1, 0.2]}, "maps must be an array of equal-length"),
+            # nested arrays where flat ones belong, and a converged flag that
+            # is a string, each named before any model is built
+            (
+                {**valid, "alpha": [[0.5], [0.5]]},
+                "alpha must be a flat array of numbers",
+            ),
+            (
+                {**valid, "reference_quantiles": [[q] for q in ref]},
+                "reference_quantiles must be a flat array of numbers",
+            ),
+            (
+                {**valid, "fit_report": {**report, "trajectory": [[1.0], [0.5]]}},
+                "fit_report trajectory must be a flat array of numbers",
+            ),
+            (
+                {**valid, "fit_report": {**report, "converged": "false"}},
+                "fit_report converged must be true or false",
+            ),
         ]
         data = tmp_path / "d.csv"
         sample_csv(data, n=2, m=4, seed=43)
@@ -741,6 +761,10 @@ class TestExitCodes:
             (
                 {"quantiles": [0.1, 10**400, 0.5, 0.9]},
                 "reference quantiles holds a number out of float range",
+            ),
+            (
+                {"quantiles": [[0.1], [0.3], [0.6], [0.9]]},
+                "reference quantiles must be a flat array of numbers",
             ),
         ]:
             ref_path.write_text(json.dumps(doc))

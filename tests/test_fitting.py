@@ -1,5 +1,7 @@
 """Tests for the model type, the risk pieces, and the alternating fit."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,21 @@ class TestDataSet:
         subj = Subject((random_measure(rng, 8),), random_measure(rng, 8))
         data = DataSet((subj, subj))
         assert data.n == 2 and data.p == 1 and data.has_responses
+
+
+class TestFitConfig:
+    def test_fields_and_bounds(self):
+        assert [f.name for f in fields(FitConfig)] == ["t", "max_outer_iter", "rel_tol"]
+        FitConfig(t=2, max_outer_iter=1, rel_tol=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"t": 1}, {"max_outer_iter": 0}, {"rel_tol": -1e-9}, {"rel_tol": float("nan")}],
+    )
+    def test_rejects_out_of_range(self, kwargs):
+        bounds = "t >= 2, max_outer_iter >= 1 and rel_tol >= 0"
+        with pytest.raises(ValueError, match=bounds):
+            FitConfig(**kwargs)
 
 
 class TestFitReport:
@@ -290,6 +307,14 @@ class TestMapUpdateProblem:
             map_update_problem(model, data, 1)
         with pytest.raises(ValueError, match="out of range"):
             map_update_problem(model, data, 5)
+        # an atom at the upper end reads the map only at its pinned endpoint,
+        # so no node carries mass: fit freezes that map, and it has no update
+        atom = QuantileGrid(UNIT, ProbGrid.midpoint(t), np.ones(t))
+        spread = toy_model(t, [0.5, 0.5], (4, 3))
+        massless = DataSet((Subject((atom,), random_measure(rng, t)),))
+        with pytest.raises(ValueError, match="map update is undefined"):
+            map_update_problem(spread, massless, 1)
+        assert map_update_problem(spread, massless, 0).weights.any()
 
 
 class TestFit:
@@ -316,10 +341,6 @@ class TestFit:
         fixed = SimplexWeights.of([0.0, 1.0])
         model, _ = fit(gen.train, 1, gen.truth.reference, fixed_weights=fixed)
         assert np.array_equal(model.weights.values, fixed.values)
-        # with no floor, a map whose weight is exactly zero is still frozen
-        cfg = FitConfig(alpha_floor=0.0)
-        unfloored, _ = fit(gen.train, 1, gen.truth.reference, cfg, fixed)
-        assert np.array_equal(unfloored.maps[0].values, model.maps[0].values)
 
     def test_predictor_without_node_mass(self):
         # a predictor that is an atom at the upper end reads every map at its
@@ -330,29 +351,6 @@ class TestFit:
         model, report = fit(data, 1, gen.truth.reference, FitConfig(t=60))
         assert_descends(report, FitConfig(t=60))
         assert np.array_equal(model.maps[1].values, model.node_grid.nodes)
-
-    def test_min_slope_floors_interior_slopes(self):
-        gen = noiseless_exact_data(alpha1=0.5, n=30, t=60, seed=5)
-        ref = gen.truth.reference
-        cfg = FitConfig(t=60, min_slope=0.5)
-        floored, report = fit(gen.train, 1, ref, cfg=cfg)
-        assert_descends(report, cfg)
-        for T in floored.maps:
-            z, x = T.values, T.grid.nodes
-            assert np.all(np.diff(z) / np.diff(x) >= 0.5 * (1.0 - 1e-12))
-        # the true order-4 warp is flat in places, so the floor binds
-        plain, _ = fit(gen.train, 1, ref, cfg=FitConfig(t=60))
-        assert np.diff(plain.maps[0].values).min() < 0.5 * np.diff(x).min()
-        zero, _ = fit(gen.train, 1, ref, cfg=FitConfig(t=60, min_slope=0.0))
-        assert np.array_equal(zero.weights.values, plain.weights.values)
-        for a, b in zip(zero.maps, plain.maps):
-            assert np.array_equal(a.values, b.values)
-
-    def test_min_slope_too_steep_raises(self):
-        gen = noiseless_exact_data(n=10, t=50, seed=2)
-        # 1.1 * (x_last - x_first) exceeds the domain width at t = 50
-        with pytest.raises(ValueError, match="min_slope"):
-            fit(gen.train, 1, gen.truth.reference, cfg=FitConfig(t=50, min_slope=1.1))
 
     def test_permutation_equivariance(self):
         spec = multi_predictor_scenario(
@@ -386,9 +384,7 @@ class TestFit:
             assert wasserstein_distance(pa, pb) < 5e-4
 
     @pytest.mark.parametrize("p", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "case", ["free", "fixed", "min_slope", "zero_weight", "no_mass"]
-    )
+    @pytest.mark.parametrize("case", ["free", "fixed", "zero_weight", "no_mass"])
     def test_accelerated_fit_keeps_report_exact(self, p, case):
         # nodes off the probability grid, so no map step is exact
         rng = np.random.default_rng(700 + p)
@@ -407,11 +403,7 @@ class TestFit:
                 Subject((atom,) + s.predictors[1:], s.response) for s in subjects
             ]
         data = DataSet(tuple(subjects))
-        cfg = FitConfig(
-            t=nodes,
-            min_slope=0.3 if case == "min_slope" else 0.0,
-            alpha_floor=0.0 if case == "zero_weight" else 1e-8,
-        )
+        cfg = FitConfig(t=nodes)
         fixed = None
         if case == "fixed":
             fixed = SimplexWeights.of(rng.dirichlet(np.ones(p + 1)))
