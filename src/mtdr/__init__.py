@@ -12,15 +12,12 @@ from .quantile_core import (
     ProbGrid,
     QuantileGrid,
     frechet_mean,
-    interval_mass,
-    ot_map_eval,
     quantile_from_samples,
     wasserstein_distance,
 )
 from .monotone_map import (
     MonotoneMap,
     NodeGrid,
-    compose_through,
     map_eval,
     map_l2_distance,
     pushforward,
@@ -58,7 +55,6 @@ from .simulation import (
     multi_predictor_scenario,
     rmse,
     run_replications,
-    sample_beta,
     sine_warp,
     single_predictor_scenario,
 )
@@ -82,12 +78,9 @@ __all__ = [
     "quantile_from_samples",
     "wasserstein_distance",
     "frechet_mean",
-    "ot_map_eval",
-    "interval_mass",
     "NodeGrid",
     "MonotoneMap",
     "map_eval",
-    "compose_through",
     "map_l2_distance",
     "pushforward",
     "IsotonicProblem",
@@ -113,7 +106,6 @@ __all__ = [
     "RepResult",
     "StudySummary",
     "sine_warp",
-    "sample_beta",
     "generate_dataset",
     "run_replications",
     "rmse",

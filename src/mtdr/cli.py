@@ -177,8 +177,11 @@ _JSON_KINDS = {
 
 
 def _typed(value, kind, what: str):
-    """A value read from a JSON file, else a ValueError naming it."""
-    if not isinstance(value, kind):
+    """A value read from a JSON file, else a ValueError naming it.
+
+    JSON true and false are no numbers, though Python's bool is an int.
+    """
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
         raise ValueError(f"{what} must be {_JSON_KINDS[kind]}")
     return value
 
@@ -192,16 +195,21 @@ def _float(value, what: str) -> float:
 
 
 def _floats(value, what: str, ndim: int = 1) -> np.ndarray:
-    """A JSON array of numbers (ndim 1) or of number arrays (ndim 2), as floats."""
+    """A JSON array of numbers (ndim 1) or of number arrays (ndim 2), as floats.
+
+    Every entry is checked before the cast, which would read strings and
+    booleans as numbers.
+    """
     if not isinstance(value, list):
+        raise ValueError(f"{what} must be an array of numbers")
+    entries = (x for row in value for x in (row if isinstance(row, list) else [row]))
+    if not all(isinstance(x, _NUMBER) and not isinstance(x, bool) for x in entries):
         raise ValueError(f"{what} must be an array of numbers")
     try:
         arr = np.asarray(value, dtype=float)
-    except TypeError:
-        raise ValueError(f"{what} must be an array of numbers") from None
     except OverflowError:
         raise ValueError(f"{what} holds a number out of float range") from None
-    except ValueError:  # ragged nesting, or a string that is no number
+    except ValueError:  # ragged nesting
         arr = None
     if arr is None or arr.ndim != ndim:
         shape = "a flat array" if ndim == 1 else "an array of equal-length arrays"
@@ -216,50 +224,25 @@ def _write_json(path: str, doc) -> None:
         fh.write("\n")
 
 
-def _probgrid_json(grid: ProbGrid) -> dict:
-    t = grid.size
-    if np.array_equal(grid.levels, ProbGrid.midpoint(t).levels):
-        return {"kind": "midpoint", "size": t}
-    return {"kind": "explicit", "levels": grid.levels.tolist()}
+# A grid is stored as its kind and size: "midpoint" probability grids and
+# "uniform" node grids are the only kinds.  Each size is checked against the
+# array it indexes before any grid of that size is built.
+_GRID_KINDS = {
+    "prob_grid": ("midpoint", "the reference quantile count"),
+    "node_grid": ("uniform", "the map length"),
+}
 
 
-def _sized(spec, what: str, size: int, of: str) -> int:
-    """A grid's declared size, checked before any grid of that size is built."""
+def _sized(doc, what: str, size: int) -> int:
+    """The size of the grid stored under doc[what], checked against size."""
+    kind, of = _GRID_KINDS[what]
+    spec = _typed(doc[what], dict, what)
+    if spec["kind"] != kind:
+        raise ValueError(f"{what} kind {spec['kind']!r} is not {kind!r}")
     declared = _typed(spec["size"], int, f"{what} size")
     if declared != size:
         raise ValueError(f"{what} size {declared} does not match {of} ({size})")
     return declared
-
-
-def _probgrid_from_json(spec, size: int) -> ProbGrid:
-    spec = _typed(spec, dict, "prob_grid")
-    if spec["kind"] == "midpoint":
-        t = _sized(spec, "prob_grid", size, "the reference quantile count")
-        return ProbGrid.midpoint(t)
-    return ProbGrid(_floats(spec["levels"], "prob_grid levels"))
-
-
-def _nodegrid_json(grid: NodeGrid) -> dict:
-    t = grid.size
-    if grid.matches(NodeGrid.uniform(grid.domain, t)):
-        return {"kind": "uniform", "size": t}
-    return {
-        "kind": "explicit",
-        "nodes": grid.nodes.tolist(),
-        "edges": grid.edges.tolist(),
-    }
-
-
-def _nodegrid_from_json(spec, domain: Domain, size: int) -> NodeGrid:
-    spec = _typed(spec, dict, "node_grid")
-    if spec["kind"] == "uniform":
-        t = _sized(spec, "node_grid", size, "the map length")
-        return NodeGrid.uniform(domain, t)
-    return NodeGrid(
-        domain,
-        _floats(spec["nodes"], "node_grid nodes"),
-        _floats(spec["edges"], "node_grid edges"),
-    )
 
 
 def save_model(path: str, model: MtdrModel, report: FitReport | None = None) -> None:
@@ -268,8 +251,8 @@ def save_model(path: str, model: MtdrModel, report: FitReport | None = None) -> 
         "format_version": FORMAT_VERSION,
         "domain": {"s0": model.domain.lo, "s1": model.domain.hi},
         "t": model.node_grid.size,
-        "prob_grid": _probgrid_json(model.prob_grid),
-        "node_grid": _nodegrid_json(model.node_grid),
+        "prob_grid": {"kind": "midpoint", "size": model.prob_grid.size},
+        "node_grid": {"kind": "uniform", "size": model.node_grid.size},
         "alpha": model.weights.values.tolist(),
         "maps": [T.values.tolist() for T in model.maps],
         "reference_quantiles": model.reference.values.tolist(),
@@ -297,8 +280,8 @@ def load_model(path: str):
     domain = Domain(*(_float(dom[key], f"domain {key}") for key in ("s0", "s1")))
     ref_values = _floats(doc["reference_quantiles"], "reference_quantiles")
     map_values = _floats(doc["maps"], "maps", ndim=2)
-    prob_grid = _probgrid_from_json(doc["prob_grid"], ref_values.size)
-    node_grid = _nodegrid_from_json(doc["node_grid"], domain, map_values.shape[1])
+    prob_grid = ProbGrid(_sized(doc, "prob_grid", ref_values.size))
+    node_grid = NodeGrid(domain, _sized(doc, "node_grid", map_values.shape[1]))
     reference = QuantileGrid(domain, prob_grid, ref_values)
     maps = tuple(MonotoneMap(node_grid, z) for z in map_values)
     weights = SimplexWeights.of(_floats(doc["alpha"], "alpha"))

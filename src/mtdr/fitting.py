@@ -83,15 +83,14 @@ class DataSet:
         object.__setattr__(self, "subjects", subjects)
         if not subjects:
             raise ValueError("empty dataset")
-        head = subjects[0]
-        first = head.predictors[0] if head.predictors else head.response
-        p = len(head.predictors)
+        first = self._first_measure()
+        p = self.p
         for s in subjects:
             if len(s.predictors) != p:
                 raise ValueError("all subjects must have the same predictor count")
             grids = list(s.predictors) + ([s.response] if s.response else [])
             for g in grids:
-                if g.domain != first.domain or not g.grid.matches(first.grid):
+                if g.domain != first.domain or g.grid != first.grid:
                     raise ValueError("all measures must share domain and grid")
 
     @property
@@ -199,7 +198,7 @@ class MtdrModel:
             raise ValueError("one weight per map required")
         grid = maps[0].grid
         for T in maps:
-            if not T.grid.matches(grid):
+            if T.grid != grid:
                 raise ValueError("all maps must share one node grid")
         if self.reference.domain != grid.domain:
             raise ValueError("reference domain must match map domain")
@@ -274,7 +273,7 @@ def _operators(model: MtdrModel, data: DataSet):
     """One interpolation operator per stack, and the knot values of each map."""
     if data.p != model.p:
         raise ValueError("predictor count must match the model")
-    if data.domain != model.domain or not data.prob_grid.matches(model.prob_grid):
+    if data.domain != model.domain or data.prob_grid != model.prob_grid:
         raise ValueError("dataset must share the model domain and grid")
     x_ext = model.maps[0].knots()[0]
     ops = [_Interp(x_ext, Q) for Q in _predictor_stacks(data, model.reference)]
@@ -326,7 +325,7 @@ def _map_step(op: _Interp, z_ext, a, resid, dom: Domain) -> IsotonicProblem:
 
 
 def _check_reference(reference: QuantileGrid, data: DataSet) -> None:
-    if reference.domain != data.domain or not reference.grid.matches(data.prob_grid):
+    if reference.domain != data.domain or reference.grid != data.prob_grid:
         raise ValueError("reference must share the data domain and grid")
     if np.any(np.diff(reference.values) <= 0.0):
         raise ValueError("reference must have strictly increasing quantiles")
@@ -341,7 +340,7 @@ def predict(model: MtdrModel, predictors) -> QuantileGrid:
     if len(predictors) != model.p:
         raise ValueError("predictor count must match the model")
     for g in predictors:
-        if g.domain != model.domain or not g.grid.matches(model.prob_grid):
+        if g.domain != model.domain or g.grid != model.prob_grid:
             raise ValueError("predictors must share the model domain and grid")
     alpha = model.weights.values
     q = alpha[0] * model.maps[0](model.reference.values)
@@ -533,7 +532,7 @@ def predictive_seminorm(model_a: MtdrModel, model_b: MtdrModel, data: DataSet) -
     """
     if model_a.p != model_b.p or model_a.domain != model_b.domain:
         raise ValueError("models must share predictor count and domain")
-    if not model_a.prob_grid.matches(model_b.prob_grid):
+    if model_a.prob_grid != model_b.prob_grid:
         raise ValueError("models must share the probability grid")
     ops_a, knots_a = _operators(model_a, data)
     ops_b, knots_b = _operators(model_b, data)

@@ -1,7 +1,7 @@
 """Endpoint-pinned monotone maps of a compact interval, stored on node grids.
 
-A map is represented by its values on spatial nodes, one node per cell of a
-partition of the domain.  Evaluation interpolates the piecewise linear curve
+A map is represented by its values on spatial nodes, the midpoints of t equal
+cells of the domain.  Evaluation interpolates the piecewise linear curve
 through (lo, lo), (x_r, z_r), (hi, hi), so every map fixes both endpoints and
 is nondecreasing whenever its node values are.
 """
@@ -18,73 +18,52 @@ __all__ = [
     "NodeGrid",
     "MonotoneMap",
     "map_eval",
-    "compose_through",
     "map_l2_distance",
     "pushforward",
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NodeGrid:
-    """Partition of a domain into cells, each carrying one interior node.
+    """A domain cut into t equal cells, each carrying its midpoint as node.
 
-    edges has one more entry than nodes, starts at domain.lo and ends at
-    domain.hi; node r lies in [edges[r], edges[r+1]].  Nodes are required to
-    be strictly interior to the domain so that evaluation can pin the
-    endpoints by augmentation.
+    edges has t + 1 entries from domain.lo to domain.hi, and node r is the
+    midpoint of [edges[r], edges[r+1]], so every node is strictly interior
+    and evaluation can pin the endpoints by augmentation.  A grid is its
+    domain and size: two grids are equal when both are.
     """
 
     domain: Domain
-    nodes: np.ndarray
-    edges: np.ndarray
+    t: int
 
     def __post_init__(self):
-        x = _readonly(np.atleast_1d(self.nodes))
-        e = _readonly(np.atleast_1d(self.edges))
-        object.__setattr__(self, "nodes", x)
-        object.__setattr__(self, "edges", e)
-        if x.size < 2:
-            raise ValueError("node grid needs at least 2 nodes")
-        if e.size != x.size + 1:
-            raise ValueError("edges must have one more entry than nodes")
-        if e[0] != self.domain.lo or e[-1] != self.domain.hi:
-            raise ValueError("edges must span the domain exactly")
-        if np.any(np.diff(e) <= 0.0) or np.any(np.diff(x) <= 0.0):
-            raise ValueError("edges and nodes must be strictly increasing")
-        if np.any(x < e[:-1]) or np.any(x > e[1:]):
-            raise ValueError("each node must lie in its cell")
-        if x[0] <= self.domain.lo or x[-1] >= self.domain.hi:
-            raise ValueError("nodes must be strictly interior to the domain")
+        if self.t < 2:
+            raise ValueError("node grid size must be at least 2")
 
     @classmethod
     def uniform(cls, domain: Domain, t: int) -> "NodeGrid":
-        """t equal cells with midpoint nodes.
-
-        The end edges are pinned to the domain ends, which lo + width * t / t
-        can miss by rounding.
-        """
-        if t < 2:
-            raise ValueError("node grid size must be at least 2")
-        edges = domain.lo + domain.width * np.arange(t + 1) / t
-        edges[0], edges[-1] = domain.lo, domain.hi
-        nodes = domain.lo + domain.width * (np.arange(t) + 0.5) / t
-        return cls(domain, nodes, edges)
+        return cls(domain, t)
 
     @property
     def size(self) -> int:
-        return self.nodes.size
+        return self.t
+
+    @property
+    def nodes(self) -> np.ndarray:
+        dom = self.domain
+        return dom.lo + dom.width * (np.arange(self.t) + 0.5) / self.t
+
+    @property
+    def edges(self) -> np.ndarray:
+        dom = self.domain
+        edges = dom.lo + dom.width * np.arange(self.t + 1) / self.t
+        # pin the end edges, which lo + width * t / t can miss by rounding
+        edges[0], edges[-1] = dom.lo, dom.hi
+        return edges
 
     @property
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
-
-    def matches(self, other: "NodeGrid") -> bool:
-        return (
-            self.domain == other.domain
-            and self.nodes.size == other.nodes.size
-            and np.array_equal(self.nodes, other.nodes)
-            and np.array_equal(self.edges, other.edges)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +88,7 @@ class MonotoneMap:
 
     @classmethod
     def identity(cls, grid: NodeGrid) -> "MonotoneMap":
-        return cls(grid, grid.nodes.copy())
+        return cls(grid, grid.nodes)
 
     def knots(self):
         """Augmented polyline knots pinning both endpoints."""
@@ -131,24 +110,12 @@ def map_eval(T: MonotoneMap, x):
     return float(out) if np.isscalar(x) else out
 
 
-def compose_through(T: MonotoneMap, inner, x):
-    """Evaluate T(inner(x)), clamping inner values within a 1e-9 band.
-
-    inner is any callable returning points that should lie in the domain;
-    values beyond the clamp band raise.
-    """
-    y = np.asarray(inner(x), dtype=float)
-    y = T.grid.domain.clamp(y, "inner map value")
-    out = map_eval(T, y)
-    return float(out) if np.isscalar(x) and np.ndim(out) == 0 else out
-
-
 def map_l2_distance(T1: MonotoneMap, T2: MonotoneMap) -> float:
     """L2 distance between maps under the normalized cell quadrature.
 
     sqrt( sum_r (z1_r - z2_r)^2 h_r / (hi - lo) ), with h_r the cell widths.
     """
-    if not T1.grid.matches(T2.grid):
+    if T1.grid != T2.grid:
         raise ValueError("node grid mismatch between maps")
     diff = T1.values - T2.values
     w = T1.grid.widths / T1.grid.domain.width

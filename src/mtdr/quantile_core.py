@@ -3,14 +3,7 @@
 A measure is stored through the values of its quantile function on a fixed
 grid of probability levels.  This makes one-dimensional Wasserstein geometry
 explicit: the 2-Wasserstein distance is the L2 distance between quantile
-vectors, barycenters are weighted averages of quantile functions, and optimal
-transport maps are compositions of one CDF with another quantile function.
-
-Evaluation conventions.  A quantile vector q on levels p is extended to the
-piecewise linear curve through (0, lo), (p_r, q_r), (1, hi).  The CDF is its
-exact pseudo-inverse: strictly increasing segments invert linearly, and where
-the quantile curve is flat (an atom) the CDF returns the lowest level
-attaining that value, except that cdf(hi) = 1 so total mass is always one.
+vectors and barycenters are weighted averages of quantile functions.
 """
 
 from __future__ import annotations
@@ -26,8 +19,6 @@ __all__ = [
     "quantile_from_samples",
     "wasserstein_distance",
     "frechet_mean",
-    "ot_map_eval",
-    "interval_mass",
 ]
 
 # Relative width of the clamp band accepted around the domain before an
@@ -80,54 +71,44 @@ class Domain:
         return np.clip(x, self.lo, self.hi)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ProbGrid:
-    """Uniformly spaced probability levels strictly inside (0, 1).
+    """The t midpoint levels (r + 0.5) / t, r = 0 .. t - 1, of [0, 1].
 
-    The default construction places one level at the midpoint of each of t
-    equal subintervals of [0, 1], so integrals of squared quantile
-    differences become plain averages times the step 1/t.
+    One level sits at the midpoint of each of t equal subintervals of
+    [0, 1], so integrals of squared quantile differences become plain
+    averages times the step 1/t.  A grid is its size: two grids are equal
+    when their sizes are.
     """
 
-    levels: np.ndarray
+    t: int
 
     def __post_init__(self):
-        lv = _readonly(np.atleast_1d(self.levels))
-        object.__setattr__(self, "levels", lv)
-        t = lv.size
-        if t < 2:
-            raise ValueError("probability grid needs at least 2 levels")
-        if lv[0] <= 0.0 or lv[-1] >= 1.0:
-            raise ValueError("levels must lie strictly inside (0, 1)")
-        d = np.diff(lv)
-        if d.min() <= 0.0 or d.max() - d.min() > 1e-9 * d.max():
-            raise ValueError("levels must be uniformly spaced")
+        if self.t < 2:
+            raise ValueError("grid size must be at least 2")
 
     @classmethod
     def midpoint(cls, t: int) -> "ProbGrid":
-        if t < 2:
-            raise ValueError("grid size must be at least 2")
-        return cls((np.arange(t) + 0.5) / t)
+        return cls(t)
 
     @property
     def size(self) -> int:
-        return self.levels.size
+        return self.t
+
+    @property
+    def levels(self) -> np.ndarray:
+        return (np.arange(self.t) + 0.5) / self.t
 
     @property
     def step(self) -> float:
-        """Quadrature weight per level; equals the spacing on midpoint grids."""
-        return 1.0 / self.levels.size
-
-    def matches(self, other: "ProbGrid") -> bool:
-        return self.levels.size == other.levels.size and np.array_equal(
-            self.levels, other.levels
-        )
+        """Quadrature weight per level, equal to the spacing of the levels."""
+        return 1.0 / self.t
 
 
 def _check_common_gridding(a: "QuantileGrid", b: "QuantileGrid") -> None:
     if a.domain != b.domain:
         raise ValueError("domain mismatch between quantile grids")
-    if not a.grid.matches(b.grid):
+    if a.grid != b.grid:
         raise ValueError("grid mismatch between quantile grids")
 
 
@@ -155,74 +136,10 @@ class QuantileGrid:
         if v[0] < self.domain.lo or v[-1] > self.domain.hi:
             raise ValueError("quantile values must lie inside the domain")
 
-    # -- evaluation ------------------------------------------------------
-
-    def quantile(self, u):
-        """Evaluate the extended quantile function at levels u in [0, 1]."""
-        u_arr = np.asarray(u, dtype=float)
-        if u_arr.size and (u_arr.min() < 0.0 or u_arr.max() > 1.0):
-            raise ValueError("level outside [0, 1]")
-        out = quantile_at(self.values, self.domain, self.grid.levels, u_arr)
-        return float(out) if np.isscalar(u) else out
-
-    def cdf(self, x):
-        """Evaluate the pseudo-inverse CDF at points x in the domain."""
-        x_arr = np.asarray(x, dtype=float)
-        self.domain.check_inside(x_arr, "cdf argument")
-        out = cdf_at(self.values, self.domain, self.grid.levels, x_arr)
-        return float(out[0]) if np.isscalar(x) else out
-
 
 def _guard_monotone(q: np.ndarray, domain: Domain) -> np.ndarray:
     """Clip float dust so exact nondecreasingness and domain bounds hold."""
     return np.maximum.accumulate(np.clip(q, domain.lo, domain.hi))
-
-
-def extended_knots(values: np.ndarray, domain: Domain, levels: np.ndarray):
-    """Knots of the extended quantile polyline through (0, lo) and (1, hi)."""
-    p_ext = np.concatenate(([0.0], levels, [1.0]))
-    q_ext = np.concatenate(([domain.lo], values, [domain.hi]))
-    return p_ext, q_ext
-
-
-def quantile_at(
-    values: np.ndarray, domain: Domain, levels: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Extended quantile function on raw arrays, vectorized over u."""
-    p_ext, q_ext = extended_knots(values, domain, levels)
-    return np.interp(u, p_ext, q_ext)
-
-
-def cdf_at(
-    values: np.ndarray, domain: Domain, levels: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Right-continuous pseudo-inverse CDF on raw arrays, vectorized over x.
-
-    Flat stretches of the quantile polyline (atoms) map to the highest level
-    attaining the value, making the CDF right-continuous as a distribution
-    function must be; cdf(hi) is forced to 1 so the total mass is exact.
-    """
-    p_ext, q_ext = extended_knots(values, domain, levels)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    idx = np.searchsorted(q_ext, x, side="right")
-    out = np.ones_like(x)
-    # x >= lo == q_ext[0] guarantees idx >= 1; idx == size means x == hi
-    inner = idx < q_ext.size
-    i0 = idx[inner] - 1
-    xin = x[inner]
-    res = np.empty_like(xin)
-    hit = q_ext[i0] == xin
-    res[hit] = p_ext[i0[hit]]
-    miss = ~hit
-    if np.any(miss):
-        im = i0[miss]
-        # q_ext[im] < x < q_ext[im + 1], so the segment has positive length
-        x0, x1 = q_ext[im], q_ext[im + 1]
-        p0, p1 = p_ext[im], p_ext[im + 1]
-        res[miss] = p0 + (xin[miss] - x0) * (p1 - p0) / (x1 - x0)
-    out[inner] = res
-    out[x == domain.hi] = 1.0
-    return out
 
 
 # -- operations ----------------------------------------------------------
@@ -292,27 +209,3 @@ def frechet_mean(measures, weights) -> QuantileGrid:
     stack = np.stack([m.values for m in measures])
     q = lam @ stack
     return QuantileGrid(first.domain, first.grid, _guard_monotone(q, first.domain))
-
-
-def ot_map_eval(mu: QuantileGrid, nu: QuantileGrid, x):
-    """Evaluate the optimal transport map from mu to nu at points x.
-
-    The increasing rearrangement sending mu to nu is the composition of the
-    quantile function of nu with the CDF of mu; both endpoints are fixed.
-    """
-    if mu.domain != nu.domain:
-        raise ValueError("domain mismatch between quantile grids")
-    x_arr = np.asarray(x, dtype=float)
-    mu.domain.check_inside(x_arr, "transport map argument")
-    lev = cdf_at(mu.values, mu.domain, mu.grid.levels, x_arr)
-    out = quantile_at(nu.values, nu.domain, nu.grid.levels, lev)
-    return float(out[0]) if np.isscalar(x) else out
-
-
-def interval_mass(mu: QuantileGrid, a: float, b: float) -> float:
-    """Mass assigned by mu to the interval [a, b] inside the domain."""
-    if b < a:
-        raise ValueError("interval requires a <= b")
-    mu.domain.check_inside(np.array([a, b]), "interval endpoint")
-    fa, fb = cdf_at(mu.values, mu.domain, mu.grid.levels, np.array([a, b]))
-    return float(fb - fa)

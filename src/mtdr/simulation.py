@@ -31,7 +31,6 @@ from .quantile_core import (
     ProbGrid,
     QuantileGrid,
     _guard_monotone,
-    quantile_from_samples,
     wasserstein_distance,
 )
 from .solvers import SimplexWeights
@@ -43,7 +42,6 @@ __all__ = [
     "RepResult",
     "StudySummary",
     "sine_warp",
-    "sample_beta",
     "generate_dataset",
     "run_replications",
     "rmse",
@@ -225,21 +223,6 @@ def multi_predictor_scenario(
     )
 
 
-def sample_beta(a: float, b: float, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw m Beta(a, b) variates as a ratio of gamma variates.
-
-    The generator's gamma sampler uses rejection for shape >= 1 and the
-    boosted-uniform-power reduction below 1, so any positive shapes work.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("beta parameters must be positive")
-    if m < 1:
-        raise ValueError("sample size must be at least 1")
-    ga = rng.standard_gamma(a, m)
-    gb = rng.standard_gamma(b, m)
-    return ga / (ga + gb)
-
-
 @dataclass(frozen=True)
 class SampleArrays:
     """Raw samples behind a generated dataset, one row per subject."""
@@ -254,14 +237,15 @@ class GeneratedData:
 
     train and test hold observed (sampled) quantile grids; test_exact holds
     the underlying exact test grids; truth is the generating operator on
-    the same grids.  samples carries the raw draws when requested.
+    the same grids.  samples carries the raw draws behind the observed
+    grids, and is None when no sampling occurred (exact=True).
     """
 
     train: DataSet
     test: DataSet | None
     truth: MtdrModel
     test_exact: DataSet | None
-    samples: SampleArrays | None = None
+    samples: SampleArrays | None
 
 
 def _warp_rows(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -295,7 +279,6 @@ def generate_dataset(
     rng: np.random.Generator,
     t: int = 1000,
     exact: bool = False,
-    keep_samples: bool = False,
 ) -> GeneratedData:
     """Simulate one replication of a scenario.
 
@@ -303,7 +286,8 @@ def generate_dataset(
     (unless exact) predictor and response uniforms, so outputs are a pure
     function of the generator state.  With exact=True the observed grids
     are the exact quantile grids and no sampling occurs; otherwise exact
-    grids are computed for the test rows only.
+    grids are computed for the test rows only, and the raw draws come back
+    as samples.
     """
     domain = Domain.unit()
     grid = ProbGrid.midpoint(t)
@@ -353,12 +337,10 @@ def generate_dataset(
             for j in range(p)
         ]
         resp_obs = np.quantile(resp_samples, levels, axis=1, method="linear").T
-        samples = (
-            SampleArrays(pred_samples, resp_samples) if keep_samples else None
-        )
+        samples = SampleArrays(pred_samples, resp_samples)
 
     truth = MtdrModel(
-        reference=QuantileGrid(domain, grid, levels.copy()),
+        reference=QuantileGrid(domain, grid, levels),
         maps=tuple(
             MonotoneMap(node_grid, sine_warp(k, node_grid.nodes))
             for k in spec.warp_orders
@@ -514,7 +496,7 @@ def mortality_like_samples(
         weights=(0.2, 0.4, 0.4), n=n, m=m, reps=1, seed=seed, test_fraction=0.0
     )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    gen = generate_dataset(spec, rng, t=200, keep_samples=True)
+    gen = generate_dataset(spec, rng, t=200)
     pred = domain.lo + domain.width * gen.samples.predictors
     resp = domain.lo + domain.width * gen.samples.responses
     return pred, resp

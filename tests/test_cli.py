@@ -64,9 +64,7 @@ def identity_model(t=25):
 class TestWriteIngestRoundTrip:
     def test_pipeline_identity(self, tmp_path):
         spec = single_predictor_scenario(0.5, n=5, m=12, reps=1, seed=11)
-        gen = generate_dataset(
-            spec, np.random.default_rng(11), t=40, keep_samples=True
-        )
+        gen = generate_dataset(spec, np.random.default_rng(11), t=40)
         path = tmp_path / "long.csv"
         write_long_csv(path, gen.samples.predictors, gen.samples.responses)
         grid = ProbGrid.midpoint(40)
@@ -225,27 +223,33 @@ class TestModelFile:
             after = predict(loaded, subject.predictors).values
             assert np.array_equal(before, after)
 
-    def test_explicit_grids_round_trip(self, tmp_path):
-        grid = ProbGrid(np.array([0.25, 0.5, 0.75]))
-        nodes, edges = np.array([0.1, 0.3, 0.8]), np.array([0.0, 0.2, 0.5, 1.0])
-        node_grid = NodeGrid(UNIT, nodes, edges)
-        reference = QuantileGrid(UNIT, grid, np.array([0.2, 0.5, 0.9]))
-        maps = (
-            MonotoneMap(node_grid, np.array([0.15, 0.3, 0.7])),
-            MonotoneMap(node_grid, np.array([0.05, 0.4, 0.95])),
-        )
-        model = MtdrModel(reference, maps, SimplexWeights.of([0.3, 0.7]))
-        first = tmp_path / "model.json"
-        second = tmp_path / "again.json"
-        save_model(str(first), model)
-        doc = json.loads(first.read_text())
-        assert doc["prob_grid"]["kind"] == doc["node_grid"]["kind"] == "explicit"
-        loaded, _ = load_model(str(first))
-        save_model(str(second), loaded)
-        assert first.read_bytes() == second.read_bytes()
-        predictors = (QuantileGrid(UNIT, grid, np.array([0.1, 0.45, 0.6])),)
-        before = predict(model, predictors).values
-        assert np.array_equal(before, predict(loaded, predictors).values)
+    def test_unknown_grid_kind_is_rejected(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        save_model(str(model_path), identity_model(t=4))
+        valid = json.loads(model_path.read_text())
+        assert valid["prob_grid"] == {"kind": "midpoint", "size": 4}
+        assert valid["node_grid"] == {"kind": "uniform", "size": 4}
+        data = tmp_path / "d.csv"
+        sample_csv(data, n=2, m=4, seed=43)
+        levels = [0.125, 0.375, 0.625, 0.875]
+        for key, spec in [
+            ("prob_grid", {"kind": "explicit", "levels": levels}),
+            ("prob_grid", {"kind": "uniform", "size": 4}),
+            (
+                "node_grid",
+                {"kind": "explicit", "nodes": levels,
+                 "edges": [0.0, 0.25, 0.5, 0.75, 1.0]},
+            ),  # fmt: skip
+            ("node_grid", {"kind": "midpoint", "size": 4}),
+            ("node_grid", {"kind": "bogus", "size": 4}),
+        ]:
+            model_path.write_text(json.dumps({**valid, key: spec}))
+            code = cli(
+                ["predict", "--model", str(model_path), "--data", str(data),
+                 "--out", str(tmp_path / "p.csv")]
+            )  # fmt: skip
+            assert code == 1
+            assert f"error: {key} kind {spec['kind']!r}" in capsys.readouterr().err
 
     def test_report_optional(self, fitted, tmp_path):
         _, model, _ = fitted
@@ -685,7 +689,7 @@ class TestExitCodes:
         model_path = tmp_path / "model.json"
         save_model(str(model_path), identity_model(t=4))
         valid = json.loads(model_path.read_text())
-        ref = valid["reference_quantiles"]
+        ref, maps = valid["reference_quantiles"], valid["maps"]
         report = {"trajectory": [1.0, 0.5], "converged": False}
         cases = [
             ({"format_version": 99}, "format_version"),
@@ -739,6 +743,27 @@ class TestExitCodes:
                 {**valid, "fit_report": {**report, "converged": "false"}},
                 "fit_report converged must be true or false",
             ),
+            # strings and booleans where numbers belong, which a float cast
+            # would read as numbers
+            ({**valid, "alpha": ["0", "1"]}, "alpha must be an array of numbers"),
+            ({**valid, "alpha": [False, True]}, "alpha must be an array of numbers"),
+            ({**valid, "alpha": [0.0, True]}, "alpha must be an array of numbers"),
+            (
+                {**valid, "maps": [maps[0], maps[1][:2] + ["0.625"] + maps[1][3:]]},
+                "maps must be an array of numbers",
+            ),
+            (
+                {**valid, "domain": {"s0": False, "s1": 1}},
+                "domain s0 must be a number",
+            ),
+            (
+                {**valid, "prob_grid": {"kind": "midpoint", "size": True}},
+                "prob_grid size must be an integer",
+            ),
+            (
+                {**valid, "fit_report": {**report, "trajectory": [1.0, True]}},
+                "fit_report trajectory must be an array of numbers",
+            ),
         ]
         data = tmp_path / "d.csv"
         sample_csv(data, n=2, m=4, seed=43)
@@ -766,6 +791,14 @@ class TestExitCodes:
                 {"quantiles": [[0.1], [0.3], [0.6], [0.9]]},
                 "reference quantiles must be a flat array of numbers",
             ),
+            (
+                {"quantiles": [0.1, "0.3", 0.6, 0.9]},
+                "reference quantiles must be an array of numbers",
+            ),
+            (
+                {"quantiles": [0.1, 0.3, 0.6, True]},
+                "reference quantiles must be an array of numbers",
+            ),
         ]:
             ref_path.write_text(json.dumps(doc))
             code = cli(
@@ -775,6 +808,16 @@ class TestExitCodes:
             )
             assert code == 1
             assert message in capsys.readouterr().err
+
+    def test_python_dash_m_runs_without_warnings(self):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mtdr", "fit", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )  # fmt: skip
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("usage: mtdr fit")
 
     def test_console_script_installed(self):
         assert shutil.which("mtdr") is not None

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mtdr.monotone_map import (
     MonotoneMap,
     NodeGrid,
-    compose_through,
     map_l2_distance,
     pushforward,
 )
@@ -39,14 +38,13 @@ class TestNodeGrid:
     def test_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
             NodeGrid.uniform(UNIT, 1)
-        with pytest.raises(ValueError, match="span the domain"):
-            NodeGrid(UNIT, np.array([0.2, 0.6]), np.array([0.1, 0.4, 0.9]))
-        with pytest.raises(ValueError, match="in its cell"):
-            NodeGrid(UNIT, np.array([0.7, 0.9]), np.array([0.0, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="at least 2"):
+            NodeGrid(UNIT, 0)
 
     def test_matches(self):
-        assert NodeGrid.uniform(UNIT, 6).matches(NodeGrid.uniform(UNIT, 6))
-        assert not NodeGrid.uniform(UNIT, 6).matches(NodeGrid.uniform(UNIT, 7))
+        assert NodeGrid.uniform(UNIT, 6) == NodeGrid(UNIT, 6)
+        assert NodeGrid.uniform(UNIT, 6) != NodeGrid.uniform(UNIT, 7)
+        assert NodeGrid.uniform(UNIT, 6) != NodeGrid.uniform(Domain(0.0, 2.0), 6)
 
 
 class TestMonotoneMap:
@@ -89,36 +87,6 @@ class TestMonotoneMap:
         out = np.asarray(T(x))
         assert np.all(np.diff(out) >= -1e-15)
         assert out.min() >= 0.0 and out.max() <= 1.0
-
-
-class TestComposeThrough:
-    def test_identity_outer(self, rng):
-        grid = NodeGrid.uniform(UNIT, 8)
-        ident = MonotoneMap.identity(grid)
-        inner = lambda x: np.sqrt(x)
-        x = np.linspace(0.0, 1.0, 9)
-        assert np.allclose(compose_through(ident, inner, x), np.sqrt(x), atol=1e-12)
-
-    def test_identity_inner(self, rng):
-        grid = NodeGrid.uniform(UNIT, 8)
-        T = random_map(rng, grid)
-        x = np.linspace(0.0, 1.0, 9)
-        assert np.allclose(compose_through(T, lambda v: v, x), T(x))
-
-    def test_against_direct_composition(self):
-        grid = NodeGrid.uniform(UNIT, 400)
-        T = MonotoneMap(grid, sine_warp(3, grid.nodes))
-        x = np.linspace(0.0, 1.0, 101)
-        direct = sine_warp(3, sine_warp(4, x))
-        out = compose_through(T, lambda v: sine_warp(4, v), x)
-        assert np.max(np.abs(np.asarray(out) - direct)) < 1e-3
-
-    def test_band_clamp_and_error(self, rng):
-        grid = NodeGrid.uniform(UNIT, 5)
-        T = MonotoneMap.identity(grid)
-        assert compose_through(T, lambda v: v + 1e-10, 1.0) == 1.0
-        with pytest.raises(ValueError):
-            compose_through(T, lambda v: v + 0.5, 1.0)
 
 
 class TestMapL2Distance:

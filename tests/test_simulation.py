@@ -16,7 +16,6 @@ from mtdr.simulation import (
     multi_predictor_scenario,
     rmse,
     run_replications,
-    sample_beta,
     sine_warp,
     single_predictor_scenario,
 )
@@ -130,31 +129,6 @@ class TestScenarioSpec:
             single_predictor_scenario(0.5, test_fraction=1.5)
 
 
-class TestSampleBeta:
-    def test_uniform_case_moments(self):
-        rng = np.random.default_rng(3)
-        x = sample_beta(1.0, 1.0, 10**5, rng)
-        assert abs(x.mean() - 0.5) < 3.0 * x.std() / np.sqrt(x.size)
-
-    def test_symmetric_case_moments(self):
-        rng = np.random.default_rng(4)
-        x = sample_beta(2.0, 2.0, 10**5, rng)
-        assert abs(x.mean() - 0.5) < 0.005
-        assert abs(x.var() - 0.05) < 0.005
-
-    def test_strictly_inside_unit_interval(self):
-        rng = np.random.default_rng(5)
-        x = sample_beta(0.5, 0.7, 10**4, rng)
-        assert x.min() > 0.0 and x.max() < 1.0
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="positive"):
-            sample_beta(0.0, 1.0, 5, rng)
-        with pytest.raises(ValueError, match="at least 1"):
-            sample_beta(1.0, 1.0, 0, rng)
-
-
 class TestGenerateDataset:
     def test_shapes_and_split(self):
         spec = single_predictor_scenario(0.5, n=10, m=8, reps=1, seed=0)
@@ -218,12 +192,12 @@ class TestGenerateDataset:
 
     def test_keep_samples(self):
         spec = single_predictor_scenario(0.5, n=7, m=9, reps=1, seed=5)
-        gen = generate_dataset(
-            spec, np.random.default_rng(5), t=12, keep_samples=True
-        )
+        gen = generate_dataset(spec, np.random.default_rng(5), t=12)
         total = spec.n + spec.n_test
         assert gen.samples.predictors.shape == (total, 1, 9)
         assert gen.samples.responses.shape == (total, 9)
+        exact = generate_dataset(spec, np.random.default_rng(5), t=12, exact=True)
+        assert exact.samples is None
 
 
 class TestMetrics:
