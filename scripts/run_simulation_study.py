@@ -27,7 +27,6 @@ import os
 import time
 
 from mtdr.cli import write_study
-from mtdr.fitting import FitConfig
 from mtdr.simulation import (
     multi_predictor_scenario,
     run_replications,
@@ -53,7 +52,6 @@ def main() -> None:
     if args.quick:
         reps, t, n_single, m = min(reps, 3), min(t, 300), 50, 50
         trend_ns = (20, 40, 80)
-    cfg = FitConfig(t=t)
     os.makedirs(args.out, exist_ok=True)
 
     size = {"m": m, "reps": reps}
@@ -70,12 +68,12 @@ def main() -> None:
     overview = {}
     for name, spec in studies:
         t0 = time.perf_counter()
-        summary = run_replications(spec, cfg)
+        summary = run_replications(spec, t)
         extra = None
         if name == "transport_equivalence":
-            fixed = run_replications(spec, cfg, SimplexWeights.of([0.0, 1.0]))
+            fixed = run_replications(spec, t, SimplexWeights.of([0.0, 1.0]))
             extra = {"fixed_weight_metrics": fixed.metrics}
-        write_study(args.out, name, name, summary, t, extra)
+        write_study(args.out, name, name, summary, extra)
         overview[f"{name}_secs"] = round(time.perf_counter() - t0, 1)
         print(f"{name} done", flush=True)
 

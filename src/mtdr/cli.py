@@ -21,7 +21,6 @@ import numpy as np
 
 from .fitting import (
     DataSet,
-    FitConfig,
     FitReport,
     MtdrModel,
     Subject,
@@ -84,13 +83,14 @@ def ingest(
     Every subject must carry every declared variable (pred1..predP, plus
     response unless require_response is False).  Malformed rows, unknown
     variables and out-of-domain values are reported with their row number.
+    The file is read as UTF-8, with or without a byte-order mark.
     """
     allowed = {f"pred{j}" for j in range(1, p + 1)} | {"response"}
     band = CLAMP_REL * domain.width
     samples: dict = {}
     order: list = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = _records(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != [
             "subject_id",
@@ -143,6 +143,15 @@ def ingest(
         )
         subjects.append(Subject(preds, resp))
     return IngestResult(DataSet(tuple(subjects)), tuple(order))
+
+
+def _records(fh):
+    """The CSV records of fh; one the csv module rejects raises a ValueError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"row {reader.line_num}: {exc}") from None
 
 
 def write_long_csv(path, pred_samples, resp_samples=None, subject_ids=None) -> None:
@@ -217,6 +226,16 @@ def _floats(value, what: str, ndim: int = 1) -> np.ndarray:
     return arr
 
 
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in a file, else a ValueError naming what the file is."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{what} is nested too deeply") from None
+    return _typed(doc, dict, what)
+
+
 def _write_json(path: str, doc) -> None:
     """Write a JSON document with sorted keys and a trailing newline."""
     with open(path, "w") as fh:
@@ -272,8 +291,7 @@ def load_model(path: str):
 
     Returns (model, report); report is None when the file carries none.
     """
-    with open(path) as fh:
-        doc = _typed(json.load(fh), dict, "model file")
+    doc = _read_json(path, "model file")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported model format_version")
     dom = _typed(doc["domain"], dict, "domain")
@@ -299,27 +317,23 @@ def load_model(path: str):
 # -- reference resolution ----------------------------------------------------
 
 
-def _resolve_reference(
-    choice: str, domain: Domain, grid: ProbGrid, data: DataSet | None
-) -> QuantileGrid:
+def _resolve_reference(choice: str, data: DataSet) -> QuantileGrid:
     """uniform | frechet | path to a JSON file with a "quantiles" array."""
+    domain, grid = data.domain, data.prob_grid
     if choice == "uniform":
         return QuantileGrid(domain, grid, domain.lo + domain.width * grid.levels)
     if choice == "frechet":
-        if data is None or not data.has_responses:
-            raise ValueError("frechet reference needs a dataset with responses")
         responses = [s.response for s in data.subjects]
         lam = np.full(len(responses), 1.0 / len(responses))
         return frechet_mean(responses, lam)
-    with open(choice) as fh:
-        doc = _typed(json.load(fh), dict, "reference file")
+    doc = _read_json(choice, "reference file")
     return QuantileGrid(domain, grid, _floats(doc["quantiles"], "reference quantiles"))
 
 
 # -- leave-one-out cross validation ------------------------------------------
 
 
-def loocv(data: DataSet, subject_ids, reference_choice: str, cfg: FitConfig) -> dict:
+def loocv(data: DataSet, subject_ids, reference_choice: str) -> dict:
     """Hold out each subject once, fit on the rest, score the prediction.
 
     The predictor count, domain and probability grid are those of the data.
@@ -333,13 +347,12 @@ def loocv(data: DataSet, subject_ids, reference_choice: str, cfg: FitConfig) -> 
         raise ValueError("leave-one-out needs at least two subjects")
     if not data.has_responses:
         raise ValueError("leave-one-out needs responses")
-    domain, grid = data.domain, data.prob_grid
     folds = []
     distances = []
     for i in range(data.n):
         rest = DataSet(tuple(s for j, s in enumerate(data.subjects) if j != i))
-        reference = _resolve_reference(reference_choice, domain, grid, rest)
-        model, report = fit(rest, data.p, reference, cfg)
+        reference = _resolve_reference(reference_choice, rest)
+        model, report = fit(rest, data.p, reference)
         held = data.subjects[i]
         dist = wasserstein_distance(held.response, predict(model, held.predictors))
         distances.append(dist)
@@ -364,13 +377,13 @@ def loocv(data: DataSet, subject_ids, reference_choice: str, cfg: FitConfig) -> 
 
 
 def write_study(
-    out_dir: str, stem: str, label: str, summary: StudySummary, t: int, extra=None
+    out_dir: str, stem: str, label: str, summary: StudySummary, extra=None
 ) -> None:
     """Write a Monte Carlo study summary as <stem>.csv and <stem>.json.
 
     label fills the scenario column of the CSV and the scenario key of the
-    JSON document; t is the grid size the fits used; extra is merged into
-    the JSON document.  The scenario itself is read from summary.spec.
+    JSON document; extra is merged into the JSON document.  The scenario
+    and the grid size t of its fits are read from summary.
     """
     spec = summary.spec
     os.makedirs(out_dir, exist_ok=True)
@@ -392,8 +405,8 @@ def write_study(
         "m": spec.m,
         "reps": spec.reps,
         "seed": spec.seed,
-        "t": t,
-        "noise_orders": list(spec.noise.support),
+        "t": summary.t,
+        "noise_orders": list(spec.noise.orders),
         "metrics": summary.metrics,
         "replications": [
             {"iterations": r.iterations, "converged": r.converged}
@@ -447,8 +460,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, default=30)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--t", type=int, default=1000)
-    sim.add_argument("--noise-orders", type=_parse_list(int, "integers"), default=None)
-    sim.add_argument("--include-zero-order", action="store_true")
+    sim.add_argument(
+        "--noise-orders",
+        type=_parse_list(int, "integers"),
+        help="response warp orders, symmetric about 0 (default -3,3); 0 is the"
+        " identity warp, so --noise-orders=0 turns the noise off",
+    )
     sim.add_argument("--out", required=True, help="output directory")
 
     data_args = argparse.ArgumentParser(add_help=False)
@@ -484,11 +501,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     noise = None
-    if args.noise_orders is not None or args.include_zero_order:
-        noise = NoiseSpec(
-            orders=tuple(args.noise_orders or ()),
-            include_zero=args.include_zero_order,
-        )
+    if args.noise_orders is not None:
+        noise = NoiseSpec(tuple(args.noise_orders))
+    size = dict(n=args.n, m=args.m, reps=args.reps, seed=args.seed, noise=noise)
     if args.scenario == "single":
         if len(args.alpha) == 1:
             alpha1 = args.alpha[0]
@@ -497,33 +512,24 @@ def _cmd_simulate(args) -> int:
             alpha1 = args.alpha[1]
         else:
             raise ValueError("single scenario takes 1 or 2 alpha values")
-        spec = single_predictor_scenario(
-            alpha1, n=args.n, m=args.m, reps=args.reps, seed=args.seed, noise=noise
-        )
+        spec = single_predictor_scenario(alpha1, **size)
     else:
         if len(args.alpha) != 3:
             raise ValueError("multi scenario takes 3 alpha values")
-        spec = multi_predictor_scenario(
-            tuple(args.alpha),
-            n=args.n,
-            m=args.m,
-            reps=args.reps,
-            seed=args.seed,
-            noise=noise,
-        )
-    summary = run_replications(spec, FitConfig(t=args.t))
-    write_study(args.out, "summary", args.scenario, summary, args.t)
+        spec = multi_predictor_scenario(tuple(args.alpha), **size)
+    summary = run_replications(spec, args.t)
+    write_study(args.out, "summary", args.scenario, summary)
     return 0
 
 
 def _cmd_fit(args) -> int:
     grid = ProbGrid.midpoint(args.t)
     res = ingest(args.data, args.domain, grid, args.p, require_response=True)
-    reference = _resolve_reference(args.reference, args.domain, grid, res.dataset)
+    reference = _resolve_reference(args.reference, res.dataset)
     fixed = None
     if args.fixed_weights is not None:
         fixed = SimplexWeights.of(args.fixed_weights)
-    model, report = fit(res.dataset, args.p, reference, FitConfig(t=args.t), fixed)
+    model, report = fit(res.dataset, args.p, reference, fixed_weights=fixed)
     save_model(args.out, model, report)
     return 0
 
@@ -562,7 +568,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_loocv(args) -> int:
     grid = ProbGrid.midpoint(args.t)
     res = ingest(args.data, args.domain, grid, args.p, require_response=True)
-    report = loocv(res.dataset, res.subject_ids, args.reference, FitConfig(t=args.t))
+    report = loocv(res.dataset, res.subject_ids, args.reference)
     _write_json(args.out, report)
     return 0
 

@@ -120,22 +120,20 @@ class DataSet:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Tuning constants of the alternating fit.
+    """Stopping rule of the alternating fit.
 
-    t >= 2 is the spatial node count for map updates; rel_tol >= 0 stops
-    the fit once a kept iterate decreases the objective by at most
-    rel_tol * (initial objective); max_outer_iter >= 1 caps the kept
-    iterates (ordinary sweeps plus accepted stabilising sweeps, see fit),
-    so a fit runs at most 1.5 * max_outer_iter sweeps.
+    rel_tol >= 0 stops the fit once a kept iterate decreases the objective
+    by at most rel_tol * (initial objective); max_outer_iter >= 1 caps the
+    kept iterates (ordinary sweeps plus accepted stabilising sweeps, see
+    fit), so a fit runs at most 1.5 * max_outer_iter sweeps.
     """
 
-    t: int = 1000
     max_outer_iter: int = 200
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.t < 2 or self.max_outer_iter < 1 or not self.rel_tol >= 0.0:
-            raise ValueError("need t >= 2, max_outer_iter >= 1 and rel_tol >= 0")
+        if self.max_outer_iter < 1 or not self.rel_tol >= 0.0:
+            raise ValueError("need max_outer_iter >= 1 and rel_tol >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,7 +392,9 @@ def fit(
 ):
     """Fit the regression operator by accelerated alternating block descent.
 
-    An ordinary sweep F takes one majorize-minimize step for each map with
+    The maps live on the uniform node grid of the data's domain with as
+    many nodes as the data's probability grid has levels.  An ordinary
+    sweep F takes one majorize-minimize step for each map with
     weight at least 1e-8 and some node mass, in index order (the other maps
     stay frozen, see map_update_problem), then a simplex least squares
     update of the weights (skipped when fixed_weights is given); it never
@@ -429,7 +429,7 @@ def fit(
     if fixed_weights is not None and fixed_weights.size != p + 1:
         raise ValueError("fixed weights must have length p + 1")
 
-    dom, t = data.domain, cfg.t
+    dom, t = data.domain, data.prob_grid.size
     node_grid = NodeGrid.uniform(dom, t)
     x_ext = MonotoneMap.identity(node_grid).knots()[0]
     ops = [_Interp(x_ext, Q) for Q in _predictor_stacks(data, reference)]

@@ -18,7 +18,6 @@ from scipy.special import betaincinv
 
 from .fitting import (
     DataSet,
-    FitConfig,
     MtdrModel,
     Subject,
     fit,
@@ -78,38 +77,30 @@ def sine_warp(order: int, x):
 class NoiseSpec:
     """Law of the random response warp order.
 
-    The order is drawn uniformly from orders, a set symmetric about zero;
-    include_zero adds the identity warp to the support.  An empty orders
-    tuple with include_zero=True turns the distortion off.
+    The order is drawn uniformly from orders, a nonempty set symmetric
+    about zero, kept sorted.  Order 0 is the identity warp, so orders (0,)
+    turns the distortion off.
     """
 
     orders: tuple = (-3, -2, -1, 1, 2, 3)
-    include_zero: bool = False
 
     def __post_init__(self):
-        orders = tuple(int(k) for k in self.orders)
+        orders = tuple(sorted(int(k) for k in self.orders))
         object.__setattr__(self, "orders", orders)
         if len(set(orders)) != len(orders):
             raise ValueError("warp orders must be distinct")
-        if 0 in orders:
-            raise ValueError("use include_zero for the identity warp")
         if set(orders) != {-k for k in orders}:
             raise ValueError("warp orders must be symmetric about zero")
-        if not orders and not self.include_zero:
+        if not orders:
             raise ValueError("noise support must be nonempty")
 
-    @property
-    def support(self) -> tuple:
-        extra = (0,) if self.include_zero else ()
-        return tuple(sorted(self.orders + extra))
-
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        sup = np.asarray(self.support, dtype=int)
+        sup = np.asarray(self.orders, dtype=int)
         return sup[rng.integers(0, sup.size, size)]
 
     @classmethod
     def none(cls) -> "NoiseSpec":
-        return cls(orders=(), include_zero=True)
+        return cls((0,))
 
 
 @dataclass(frozen=True)
@@ -121,7 +112,6 @@ class ScenarioSpec:
     gives the uniform law of the j-th predictor's Beta parameters.
     """
 
-    p: int
     weights: SimplexWeights
     warp_orders: tuple
     beta_ranges: tuple
@@ -148,8 +138,6 @@ class ScenarioSpec:
             raise ValueError("weights must have length p + 1")
         if len(self.warp_orders) != self.p + 1:
             raise ValueError("one warp order per map required")
-        if len(self.beta_ranges) != self.p:
-            raise ValueError("one beta range per predictor required")
         for (a_lo, a_hi), (b_lo, b_hi) in self.beta_ranges:
             if not (0.0 < a_lo <= a_hi and 0.0 < b_lo <= b_hi):
                 raise ValueError("beta parameter ranges must be positive")
@@ -157,6 +145,10 @@ class ScenarioSpec:
             raise ValueError("n, m and reps must be at least 1")
         if not 0.0 <= self.test_fraction <= 1.0:
             raise ValueError("test fraction must lie in [0, 1]")
+
+    @property
+    def p(self) -> int:
+        return len(self.beta_ranges)
 
     @property
     def n_test(self) -> int:
@@ -179,7 +171,6 @@ def single_predictor_scenario(
     about 0.075, which matches the reference error levels of the study.
     """
     return ScenarioSpec(
-        p=1,
         weights=SimplexWeights.of([1.0 - alpha1, alpha1]),
         warp_orders=(4, 3),
         beta_ranges=(((1.0, 5.0), (1.0, 5.0)),),
@@ -207,7 +198,6 @@ def multi_predictor_scenario(
     response warp order from {-3, 3}.
     """
     return ScenarioSpec(
-        p=2,
         weights=SimplexWeights.of(weights),
         warp_orders=(4, 3, -5),
         beta_ranges=(
@@ -400,14 +390,15 @@ class RepResult:
 
 @dataclass(frozen=True)
 class StudySummary:
-    """Aggregated Monte Carlo results for one scenario."""
+    """Aggregated Monte Carlo results for one scenario fitted at grid size t."""
 
     spec: ScenarioSpec
+    t: int
     results: tuple
     metrics: dict
 
     @staticmethod
-    def aggregate(spec: ScenarioSpec, results) -> "StudySummary":
+    def aggregate(spec: ScenarioSpec, t: int, results) -> "StudySummary":
         results = tuple(results)
 
         def stat(values):
@@ -423,34 +414,32 @@ class StudySummary:
             if spec.weights.values[j] > 0.0:
                 metrics[f"map_err_{j}"] = stat([r.map_errs[j] for r in results])
         metrics["rmse"] = stat([r.rmse for r in results])
-        return StudySummary(spec, results, metrics)
+        return StudySummary(spec, t, results, metrics)
 
 
 def run_replications(
     spec: ScenarioSpec,
-    cfg: FitConfig | None = None,
+    t: int = 1000,
     fixed_weights: SimplexWeights | None = None,
 ) -> StudySummary:
     """Run a full Monte Carlo study: generate, fit, score, aggregate.
 
-    Per-replication seeds are spawned from the scenario seed, so results
-    are a pure function of the scenario and the fit configuration.  The
-    reported metrics are the predictive seminorm distance to the truth on
-    the exact test predictors, the weight error (absolute for one
+    Replications are generated on grids of size t from seeds spawned from
+    the scenario seed, so results are a pure function of the arguments.
+    The reported metrics are the predictive seminorm distance to the truth
+    on the exact test predictors, the weight error (absolute for one
     predictor, Euclidean otherwise), the map L2 errors where identifiable,
     and the RMSE of predictions on the observed test set.
     """
-    if cfg is None:
-        cfg = FitConfig()
     if spec.n_test < 1:
         raise ValueError("scenario needs a nonempty test set")
     children = np.random.SeedSequence(spec.seed).spawn(spec.reps)
     results = []
     for r in range(spec.reps):
         rng = np.random.default_rng(children[r])
-        gen = generate_dataset(spec, rng, t=cfg.t)
+        gen = generate_dataset(spec, rng, t=t)
         model, report = fit(
-            gen.train, spec.p, gen.truth.reference, cfg, fixed_weights
+            gen.train, spec.p, gen.truth.reference, fixed_weights=fixed_weights
         )
         seminorm = predictive_seminorm(model, gen.truth, gen.test_exact)
         diff = model.weights.values - spec.weights.values
@@ -477,7 +466,7 @@ def run_replications(
                 trajectory=report.trajectory,
             )
         )
-    return StudySummary.aggregate(spec, results)
+    return StudySummary.aggregate(spec, t, results)
 
 
 def mortality_like_samples(

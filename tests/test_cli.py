@@ -191,7 +191,7 @@ def fitted():
     gen = generate_dataset(spec, np.random.default_rng(21), t=30)
     grid = gen.train.prob_grid
     reference = QuantileGrid(UNIT, grid, grid.levels.copy())
-    model, report = fit(gen.train, 1, reference, FitConfig(t=30))
+    model, report = fit(gen.train, 1, reference)
     return gen, model, report
 
 
@@ -288,6 +288,22 @@ class TestCliFitPredictEvaluate:
         model, report = load_model(str(out))
         assert model.p == 1
         assert report is not None and report.trajectory.size >= 1
+
+    def test_fit_reads_byte_order_mark(self, tmp_path):
+        # spreadsheet tools save UTF-8 CSV files with a byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        sample_csv(plain, seed=39)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        models = []
+        for data in (plain, marked):
+            out = data.with_suffix(".json")
+            code = cli(
+                ["fit", "--data", str(data), "--p", "1", "--domain", "0,1",
+                 "--t", "20", "--out", str(out)]
+            )  # fmt: skip
+            assert code == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
 
     def test_fit_on_domain_whose_grid_end_rounds(self, tmp_path):
         # lo + width * t / t misses hi by rounding for this domain and t
@@ -494,6 +510,7 @@ class TestCliSimulate:
         doc = json.loads((out / "summary.json").read_text())
         assert doc["format_version"] == 1
         assert doc["alpha_star"] == [0.5, 0.5]
+        assert doc["t"] == 40
         assert set(doc["metrics"]) >= {"pred_seminorm_err", "weight_err", "rmse"}
         [rep] = doc["replications"]
         assert set(rep) == {"iterations", "converged"}
@@ -567,6 +584,16 @@ class TestCliSimulate:
         doc = json.loads((out / "transport_equivalence.json").read_text())
         assert set(doc["fixed_weight_metrics"]) == set(doc["metrics"])
 
+    def test_noise_orders(self, tmp_path, capsys):
+        args = ["simulate", "--scenario", "single", "--alpha", "0.5", "--n", "4",
+                "--m", "4", "--reps", "1", "--t", "20", "--out", str(tmp_path)]  # fmt: skip
+        assert cli(args + ["--noise-orders=-2,0,2"]) == 0
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert doc["noise_orders"] == [-2, 0, 2]
+        assert cli(args + ["--noise-orders=1,2"]) == 1
+        assert "symmetric about zero" in capsys.readouterr().err
+        assert cli(args + ["--include-zero-order"]) == 2
+
     def test_wrong_alpha_count_is_runtime_error(self, tmp_path, capsys):
         # three values for one predictor, and a pair off the simplex
         for alpha in ("0.1,0.2,0.7", "0.3,0.5"):
@@ -620,6 +647,18 @@ class TestCliLoocv:
             assert type(f["iterations"]) is int and type(f["converged"]) is bool
             assert 1 <= f["iterations"] <= FitConfig().max_outer_iter
             assert f["converged"] or f["iterations"] == FitConfig().max_outer_iter
+
+    def test_reference_file_matches_uniform(self, tmp_path):
+        ref_path = tmp_path / "reference.json"
+        levels = ProbGrid.midpoint(30).levels
+        ref_path.write_text(json.dumps({"quantiles": levels.tolist()}))
+        _, uniform = self.run_loocv(tmp_path, "uniform.json")
+        code, from_file = self.run_loocv(tmp_path, "file.json", str(ref_path))
+        assert code == 0
+        a, b = json.loads(uniform.read_text()), json.loads(from_file.read_text())
+        assert b.pop("reference") == str(ref_path)
+        assert a.pop("reference") == "uniform"
+        assert a == b
 
     def test_byte_identical_reruns(self, tmp_path):
         _, first = self.run_loocv(tmp_path, "a.json")
@@ -694,6 +733,7 @@ class TestExitCodes:
         cases = [
             ({"format_version": 99}, "format_version"),
             ([valid], "model file must be a JSON object"),
+            ("[" * 100000, "model file is nested too deeply"),
             ({**valid, "maps": 5}, "maps must be an array of numbers"),
             ({**valid, "maps": [{}, {}]}, "maps must be an array of numbers"),
             ({**valid, "domain": [0, 100]}, "domain must be a JSON object"),
@@ -768,7 +808,7 @@ class TestExitCodes:
         data = tmp_path / "d.csv"
         sample_csv(data, n=2, m=4, seed=43)
         for doc, message in cases:
-            model_path.write_text(json.dumps(doc))
+            model_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             code = cli(
                 ["predict", "--model", str(model_path), "--data", str(data),
                  "--out", str(tmp_path / "p.csv")]
@@ -782,6 +822,7 @@ class TestExitCodes:
         ref_path = tmp_path / "reference.json"
         for doc, message in [
             ([1, 2], "reference file must be a JSON object"),
+            ("[" * 100000, "reference file is nested too deeply"),
             ({"quantiles": "0.5"}, "reference quantiles must be an array of numbers"),
             (
                 {"quantiles": [0.1, 10**400, 0.5, 0.9]},
@@ -800,7 +841,7 @@ class TestExitCodes:
                 "reference quantiles must be an array of numbers",
             ),
         ]:
-            ref_path.write_text(json.dumps(doc))
+            ref_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             code = cli(
                 ["fit", "--data", str(data), "--p", "1", "--domain", "0,1",
                  "--t", "4", "--reference", str(ref_path),
@@ -808,6 +849,18 @@ class TestExitCodes:
             )
             assert code == 1
             assert message in capsys.readouterr().err
+
+    def test_oversized_csv_field_is_runtime_error(self, tmp_path, capsys):
+        # longer than the csv module's field limit of 131072 characters
+        data = tmp_path / "d.csv"
+        write_rows(data, [["a", "pred1", "0." + "5" * 131072]])
+        code = cli(
+            ["fit", "--data", str(data), "--p", "1", "--domain", "0,1",
+             "--out", str(tmp_path / "m.json")]
+        )  # fmt: skip
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: row 2: field larger than field limit (131072)\n"
 
     def test_python_dash_m_runs_without_warnings(self):
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))

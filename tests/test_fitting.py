@@ -94,15 +94,15 @@ class TestDataSet:
 
 class TestFitConfig:
     def test_fields_and_bounds(self):
-        assert [f.name for f in fields(FitConfig)] == ["t", "max_outer_iter", "rel_tol"]
-        FitConfig(t=2, max_outer_iter=1, rel_tol=0.0)
+        assert [f.name for f in fields(FitConfig)] == ["max_outer_iter", "rel_tol"]
+        FitConfig(max_outer_iter=1, rel_tol=0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"t": 1}, {"max_outer_iter": 0}, {"rel_tol": -1e-9}, {"rel_tol": float("nan")}],
+        [{"max_outer_iter": 0}, {"rel_tol": -1e-9}, {"rel_tol": float("nan")}],
     )
     def test_rejects_out_of_range(self, kwargs):
-        bounds = "t >= 2, max_outer_iter >= 1 and rel_tol >= 0"
+        bounds = "max_outer_iter >= 1 and rel_tol >= 0"
         with pytest.raises(ValueError, match=bounds):
             FitConfig(**kwargs)
 
@@ -320,13 +320,13 @@ class TestMapUpdateProblem:
 class TestFit:
     def test_noiseless_recovery(self):
         gen = noiseless_exact_data(alpha1=0.5, n=100, t=300)
-        model, report = fit(gen.train, 1, gen.truth.reference, cfg=FitConfig(t=300))
+        model, report = fit(gen.train, 1, gen.truth.reference)
         assert abs(model.weights.values[1] - 0.5) < 0.01
         for j in range(2):
             err = map_l2_distance(model.maps[j], gen.truth.maps[j])
             assert err < 0.02
         assert report.converged
-        assert_descends(report, FitConfig(t=300))
+        assert_descends(report)
 
     def test_trajectory_decreases_and_matches_risk(self):
         gen = noiseless_exact_data(alpha1=0.3, n=40, t=150, seed=9)
@@ -348,8 +348,8 @@ class TestFit:
         gen = noiseless_exact_data(n=20, t=60, seed=5)
         atom = QuantileGrid(UNIT, ProbGrid.midpoint(60), np.ones(60))
         data = DataSet(tuple(Subject((atom,), s.response) for s in gen.train.subjects))
-        model, report = fit(data, 1, gen.truth.reference, FitConfig(t=60))
-        assert_descends(report, FitConfig(t=60))
+        model, report = fit(data, 1, gen.truth.reference)
+        assert_descends(report)
         assert np.array_equal(model.maps[1].values, model.node_grid.nodes)
 
     def test_permutation_equivariance(self):
@@ -359,7 +359,7 @@ class TestFit:
         rng = np.random.default_rng(21)
         gen = generate_dataset(spec, rng, t=150, exact=True)
         base = gen.train
-        cfg = FitConfig(t=150, rel_tol=1e-12, max_outer_iter=1000)
+        cfg = FitConfig(rel_tol=1e-12, max_outer_iter=1000)
         model, report = fit(base, 2, gen.truth.reference, cfg=cfg)
         assert_descends(report, cfg)
         swapped = DataSet(
@@ -386,9 +386,10 @@ class TestFit:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("case", ["free", "fixed", "zero_weight", "no_mass"])
     def test_accelerated_fit_keeps_report_exact(self, p, case):
-        # nodes off the probability grid, so no map step is exact
+        # a Frechet reference does not sit on the node grid, so no map step
+        # is exact
         rng = np.random.default_rng(700 + p)
-        t, nodes, n = 40, 25, 20
+        t, n = 40, 20
         weights = np.r_[0.2, np.full(p, 0.8 / p)]
         truth = toy_model(t, weights, rng.integers(-3, 4, p + 1))
         subjects = []
@@ -403,14 +404,14 @@ class TestFit:
                 Subject((atom,) + s.predictors[1:], s.response) for s in subjects
             ]
         data = DataSet(tuple(subjects))
-        cfg = FitConfig(t=nodes)
+        reference = frechet_mean([s.response for s in subjects], np.full(n, 1.0 / n))
         fixed = None
         if case == "fixed":
             fixed = SimplexWeights.of(rng.dirichlet(np.ones(p + 1)))
         elif case == "zero_weight":
             fixed = SimplexWeights.of(np.r_[rng.dirichlet(np.ones(p)), 0.0])
-        model, report = fit(data, p, truth.reference, cfg, fixed)
-        assert_descends(report, cfg)
+        model, report = fit(data, p, reference, fixed_weights=fixed)
+        assert_descends(report)
         assert report.final_objective == pytest.approx(
             empirical_risk(model, data), rel=1e-9
         )
@@ -432,16 +433,20 @@ class TestFit:
         fold = DataSet(data.subjects[1:])
         responses = [s.response for s in fold.subjects]
         reference = frechet_mean(responses, np.full(fold.n, 1.0 / fold.n))
-        cfg = FitConfig(t=300)
-        _, report = fit(fold, 2, reference, cfg)
+        _, report = fit(fold, 2, reference)
         assert report.converged
-        assert_descends(report, cfg)
+        assert_descends(report)
         # the rel_tol rule itself stops a few 1e-6 (relative) above the
         # optimum on these folds, which a stationarity test would tighten
-        tight = FitConfig(t=300, rel_tol=1e-12, max_outer_iter=3000)
+        tight = FitConfig(rel_tol=1e-12, max_outer_iter=3000)
         _, best = fit(fold, 2, reference, tight)
         gap = report.final_objective - best.final_objective
         assert 0.0 <= gap <= 1e-5 * best.final_objective
+
+    def test_nodes_are_the_data_grid(self):
+        gen = noiseless_exact_data(n=10, t=40, seed=2)
+        model, _ = fit(gen.train, 1, gen.truth.reference, FitConfig())
+        assert model.node_grid == NodeGrid.uniform(UNIT, 40)
 
     def test_reference_must_match(self, rng):
         gen = noiseless_exact_data(n=10, t=50, seed=2)

@@ -58,21 +58,21 @@ class TestSineWarp:
 class TestNoiseSpec:
     def test_default_support_symmetric(self):
         spec = NoiseSpec()
-        assert spec.support == (-3, -2, -1, 1, 2, 3)
+        assert spec.orders == (-3, -2, -1, 1, 2, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="distinct"):
             NoiseSpec(orders=(1, 1, -1))
-        with pytest.raises(ValueError, match="include_zero"):
-            NoiseSpec(orders=(0, 1, -1))
         with pytest.raises(ValueError, match="symmetric"):
             NoiseSpec(orders=(1, 2, -1))
         with pytest.raises(ValueError, match="nonempty"):
             NoiseSpec(orders=())
+        # the identity warp is an ordinary order
+        assert NoiseSpec(orders=(2, 0, -2)).orders == (-2, 0, 2)
 
     def test_none_is_identity_only(self):
         spec = NoiseSpec.none()
-        assert spec.support == (0,)
+        assert spec.orders == (0,)
         rng = np.random.default_rng(0)
         assert np.all(spec.draw(rng, 100) == 0)
 
@@ -100,7 +100,7 @@ class TestScenarioSpec:
         assert spec.p == 1
         assert spec.warp_orders == (4, 3)
         assert np.allclose(spec.weights.values, [0.5, 0.5])
-        assert spec.noise.support == (-3, 3)
+        assert spec.noise.orders == (-3, 3)
         assert spec.n_test == 60
 
     def test_multi_factory(self):
@@ -116,7 +116,6 @@ class TestScenarioSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="length p \\+ 1"):
             ScenarioSpec(
-                p=1,
                 weights=SimplexWeights.of([0.2, 0.3, 0.5]),
                 warp_orders=(4, 3),
                 beta_ranges=(((1.0, 5.0), (1.0, 5.0)),),
@@ -169,7 +168,6 @@ class TestGenerateDataset:
 
     def test_identity_map_noiseless_passthrough(self):
         spec = ScenarioSpec(
-            p=1,
             weights=SimplexWeights.of([0.0, 1.0]),
             warp_orders=(4, 0),
             beta_ranges=(((1.0, 5.0), (1.0, 5.0)),),
@@ -225,12 +223,9 @@ class TestMetrics:
 class TestRunReplications:
     def test_smoke_and_determinism(self):
         spec = single_predictor_scenario(0.5, n=16, m=12, reps=2, seed=12)
-        from mtdr.fitting import FitConfig
-
-        cfg = FitConfig(t=40, max_outer_iter=60)
-        a = run_replications(spec, cfg=cfg)
-        b = run_replications(spec, cfg=cfg)
-        assert len(a.results) == 2
+        a = run_replications(spec, t=40)
+        b = run_replications(spec, t=40)
+        assert len(a.results) == 2 and a.t == 40
         for ra, rb in zip(a.results, b.results):
             assert ra.pred_seminorm_err == rb.pred_seminorm_err
             assert ra.rmse == rb.rmse
@@ -245,9 +240,7 @@ class TestRunReplications:
 
     def test_zero_weight_map_excluded(self):
         spec = single_predictor_scenario(1.0, n=12, m=10, reps=1, seed=6)
-        from mtdr.fitting import FitConfig
-
-        summary = run_replications(spec, cfg=FitConfig(t=30, max_outer_iter=40))
+        summary = run_replications(spec, t=30)
         assert "map_err_0" not in summary.metrics
         assert summary.results[0].map_errs[0] is None
 
@@ -255,9 +248,7 @@ class TestRunReplications:
         spec = single_predictor_scenario(
             0.5, n=60, m=50, reps=1, seed=8, noise=NoiseSpec.none()
         )
-        from mtdr.fitting import FitConfig
-
-        summary = run_replications(spec, cfg=FitConfig(t=250))
+        summary = run_replications(spec, t=250)
         # the response law is noiseless but the measures are still observed
         # through m samples each, so the bound reflects sampling error
         assert summary.metrics["pred_seminorm_err"]["mean"] < 0.04
