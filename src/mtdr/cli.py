@@ -228,7 +228,7 @@ def _floats(value, what: str, ndim: int = 1) -> np.ndarray:
 
 def _read_json(path: str, what: str) -> dict:
     """The JSON object in a file, else a ValueError naming what the file is."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except RecursionError:

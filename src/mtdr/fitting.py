@@ -13,8 +13,10 @@ weights the empirical squared-Wasserstein risk is a quadratic in each map's
 node values, and for fixed maps a quadratic in the weights.  An ordinary
 sweep of the fit takes a majorize-minimize step for each map (one weighted
 isotonic regression), then an exact simplex least squares step for the
-weights; neither step raises the risk.  The sweep is a fixed-point map of
-the map node values and weights, and the fit accelerates it by SQUAREM
+weights; neither step raises the risk.  _Objective builds that risk, its
+prediction alpha @ B and both steps in one place, for fit and for the
+functions that evaluate a model.  The sweep is a fixed-point map of the
+map node values and weights, and the fit accelerates it by SQUAREM
 (Varadhan & Roland 2008): every two sweeps it extrapolates, projects the
 jump back onto monotone maps and simplex weights, and keeps one sweep from
 there only if it does not raise the risk.
@@ -218,7 +220,7 @@ class MtdrModel:
         return self.maps[0].grid
 
 
-# -- the interpolation operator and the two block steps -------------------
+# -- the interpolation operator and the objective -------------------------
 
 
 class _Interp:
@@ -251,82 +253,136 @@ class _Interp:
         )
 
 
-def _predictor_stacks(data: DataSet, reference: QuantileGrid) -> list:
-    """Quantile stacks Q[j] of shape (n, t) for j = 0 (reference) .. p."""
-    n, t = data.n, data.prob_grid.size
-    stacks = [np.broadcast_to(reference.values, (n, t))]
-    for j in range(data.p):
-        stacks.append(np.stack([s.predictors[j].values for s in data.subjects]))
-    return stacks
-
-
-def _response_stack(data: DataSet) -> np.ndarray:
-    """Response quantiles of all subjects, flattened to one vector."""
-    if not data.has_responses:
-        raise ValueError("dataset lacks responses")
-    return np.concatenate([s.response.values for s in data.subjects])
-
-
-def _operators(model: MtdrModel, data: DataSet):
-    """One interpolation operator per stack, and the knot values of each map."""
-    if data.p != model.p:
-        raise ValueError("predictor count must match the model")
-    if data.domain != model.domain or data.prob_grid != model.prob_grid:
-        raise ValueError("dataset must share the model domain and grid")
-    x_ext = model.maps[0].knots()[0]
-    ops = [_Interp(x_ext, Q) for Q in _predictor_stacks(data, model.reference)]
-    return ops, [T.knots()[1] for T in model.maps]
-
-
-def _prediction(alpha, ops, knots) -> np.ndarray:
-    return sum(a * op(z) for a, op, z in zip(alpha, ops, knots))
-
-
-def _risk(resid: np.ndarray, scale: float) -> float:
-    return float(scale * np.dot(resid, resid))
-
-
-def _weight_problem(B: np.ndarray, resp: np.ndarray, scale: float) -> SimplexLSProblem:
-    gram = (B @ B.T) * scale
-    return SimplexLSProblem(0.5 * (gram + gram.T), (B @ resp) * scale)
-
-
 # weights below this floor freeze their map: its majorize-minimize step
 # divides the risk gradient by the weight
 _WEIGHT_FLOOR = 1e-8
 
 
-def _updatable(a: float, op: _Interp) -> bool:
-    """Whether a map of weight a, read through op, takes map updates.
+class _Objective:
+    """The empirical risk of a dataset at one iterate, and its block steps.
 
-    It does not when a is below _WEIGHT_FLOOR, or when no node carries mass
-    (the data read the map only at its pinned endpoints).
+    Built once per dataset, reference and starting maps, whose node grid
+    it keeps: one interpolation operator per quantile stack (ops[0] reads
+    the reference at every subject, ops[j] the j-th predictors), the
+    response stack, and the scale step / n that makes scale * |r|^2 the
+    risk of a residual r.  The iterate is each map's knots, B (map k read
+    through ops[k], one row per map) and the weights alpha; its prediction
+    is alpha @ B.  Weights not given start at the exact weight step and are
+    free; given weights stay fixed.  The solvers are called by their names
+    in this module, which perfbench/tracing.py wraps while it traces.
     """
-    return a >= _WEIGHT_FLOOR and op.mass.any()
 
+    def __init__(self, data: DataSet, reference: QuantileGrid, maps, weights=None):
+        if reference.domain != data.domain or reference.grid != data.prob_grid:
+            raise ValueError("reference must share the data domain and grid")
+        n, t = data.n, data.prob_grid.size
+        stacks = [np.broadcast_to(reference.values, (n, t))] + [
+            np.stack([s.predictors[j].values for s in data.subjects])
+            for j in range(data.p)
+        ]
+        self.ops = [_Interp(maps[0].knots()[0], Q) for Q in stacks]
+        self._resp = (
+            np.concatenate([s.response.values for s in data.subjects])
+            if data.has_responses
+            else None
+        )
+        self.scale = data.prob_grid.step / n
+        self.lo, self.hi, self.t = data.domain.lo, data.domain.hi, maps[0].grid.size
+        self.knots = [T.knots()[1] for T in maps]
+        self.B = np.stack([op(z) for op, z in zip(self.ops, self.knots)])
+        self.free = weights is None
+        self.alpha = self.weight_step() if self.free else weights.values.copy()
 
-def _map_step(op: _Interp, z_ext, a, resid, dom: Domain) -> IsotonicProblem:
-    """Isotonic problem of one majorize-minimize step for one map.
+    @classmethod
+    def of(cls, model: MtdrModel, data: DataSet) -> "_Objective":
+        """The objective of data at the model's maps and weights."""
+        if data.p != model.p:
+            raise ValueError("predictor count must match the model")
+        return cls(data, model.reference, model.maps, model.weights)
 
-    The risk is a quadratic in the map's node values with Hessian
-    proportional to a^2 P'P, and diag(mass) majorizes P'P: P is nonnegative
-    with row sums at most one.  Minimizing the majorizer over maps that are
-    nondecreasing in the domain is a weighted isotonic regression with
-    weights mass and targets z - P'resid / (a mass); nodes without mass
-    keep their value as target.  The map must take updates (_updatable).
-    """
-    mass = op.mass
-    step = np.divide(
-        op.adjoint(resid)[1:-1], a * mass, out=np.zeros_like(mass), where=mass > 0.0
-    )
-    return IsotonicProblem(z_ext[1:-1] - step, mass, dom.lo, dom.hi)
+    @property
+    def resp(self) -> np.ndarray:
+        """Response quantiles of all subjects, flattened to one vector."""
+        if self._resp is None:
+            raise ValueError("dataset lacks responses")
+        return self._resp
 
+    def prediction(self) -> np.ndarray:
+        return self.alpha @ self.B
 
-def _check_reference(reference: QuantileGrid, data: DataSet) -> None:
-    if reference.domain != data.domain or reference.grid != data.prob_grid:
-        raise ValueError("reference must share the data domain and grid")
-    if np.any(np.diff(reference.values) <= 0.0):
-        raise ValueError("reference must have strictly increasing quantiles")
+    def residual(self) -> np.ndarray:
+        return self.prediction() - self.resp
+
+    def risk(self, resid: np.ndarray) -> float:
+        return float(self.scale * np.dot(resid, resid))
+
+    def weight_step(self) -> np.ndarray:
+        """The weights that minimize the risk for the current maps."""
+        gram = (self.B @ self.B.T) * self.scale
+        lin = (self.B @ self.resp) * self.scale
+        prob = SimplexLSProblem(0.5 * (gram + gram.T), lin)
+        return simplex_least_squares(prob).values
+
+    def updatable(self, k: int) -> bool:
+        """Whether map k takes map updates.
+
+        It does not when its weight is below _WEIGHT_FLOOR, or when no node
+        carries mass (the data read the map only at its pinned endpoints).
+        """
+        return self.alpha[k] >= _WEIGHT_FLOOR and self.ops[k].mass.any()
+
+    def map_step(self, k: int, resid: np.ndarray) -> IsotonicProblem:
+        """map_update_problem for map k, at the iterate with residual resid."""
+        op, mass = self.ops[k], self.ops[k].mass
+        step = np.divide(
+            op.adjoint(resid)[1:-1],
+            self.alpha[k] * mass,
+            out=np.zeros_like(mass),
+            where=mass > 0.0,
+        )
+        return IsotonicProblem(self.knots[k][1:-1] - step, mass, self.lo, self.hi)
+
+    def sweep(self, resid: np.ndarray) -> np.ndarray:
+        """One ordinary sweep from the iterate with residual resid.
+
+        Updates resid in place while the maps move, and returns the residual
+        of the new iterate.
+        """
+        for k, (op, z) in enumerate(zip(self.ops, self.knots)):
+            if not self.updatable(k):
+                continue
+            z[1:-1] = weighted_isotonic(self.map_step(k, resid))
+            moved = op(z)
+            resid += self.alpha[k] * (moved - self.B[k])
+            self.B[k] = moved
+        if self.free:
+            self.alpha = self.weight_step()
+        return self.residual()
+
+    def pack(self) -> np.ndarray:
+        """The iterate as one vector theta: node values map by map, then alpha."""
+        return np.concatenate([z[1:-1] for z in self.knots] + [self.alpha])
+
+    def load(self, theta: np.ndarray) -> np.ndarray:
+        """Make theta the iterate and return its residual."""
+        t = self.t
+        for k, (op, z) in enumerate(zip(self.ops, self.knots)):
+            z[1:-1] = theta[k * t : (k + 1) * t]
+            self.B[k] = op(z)
+        self.alpha = theta[len(self.ops) * t :].copy()
+        return self.residual()
+
+    def project(self, jump: np.ndarray, theta2: np.ndarray) -> np.ndarray:
+        """The extrapolated iterate made feasible; frozen maps keep theta2."""
+        t, out = self.t, theta2.copy()
+        for k in range(len(self.ops)):
+            if self.updatable(k):
+                seg = slice(k * t, (k + 1) * t)
+                box = IsotonicProblem(jump[seg], np.ones(t), self.lo, self.hi)
+                out[seg] = weighted_isotonic(box)
+        if self.free:
+            out[len(self.ops) * t :] = simplex_project(jump[len(self.ops) * t :])
+        return out
 
 
 # -- public operations ----------------------------------------------------
@@ -354,33 +410,32 @@ def loss(model: MtdrModel, predictors, response: QuantileGrid) -> float:
 
 def empirical_risk(model: MtdrModel, data: DataSet) -> float:
     """Mean squared-Wasserstein prediction error over a dataset."""
-    ops, knots = _operators(model, data)
-    resid = _prediction(model.weights.values, ops, knots) - _response_stack(data)
-    return _risk(resid, data.prob_grid.step / data.n)
+    obj = _Objective.of(model, data)
+    return obj.risk(obj.residual())
 
 
 def map_update_problem(model: MtdrModel, data: DataSet, k: int) -> IsotonicProblem:
     """Isotonic subproblem of one majorize-minimize step for the k-th map.
 
     Holding the weights and the other maps fixed, the risk is a quadratic
-    in the k-th map's node values.  Its curvature is majorized by the
-    node masses of the interpolation operator that reads the map at the
-    k-th quantile stack, so solving the returned problem (weights: node
-    masses; targets: the current node values minus the risk gradient
-    scaled by the mass and the k-th weight) never raises the risk.  A map
-    that fit keeps frozen has no such problem: a ValueError is raised when
-    the k-th weight is below 1e-8 or no node carries mass of the k-th stack.
+    in the k-th map's node values, with Hessian proportional to a^2 P'P for
+    the k-th weight a and the interpolation operator P that reads the map
+    at the k-th quantile stack.  P is nonnegative with row sums at most one,
+    so diag(mass), the node masses of P, majorizes P'P, and solving the
+    returned problem (weights: node masses; targets: the current node
+    values minus P'resid / (a mass), or the current value at a node without
+    mass) never raises the risk.  A map that fit keeps frozen has no such
+    problem: a ValueError is raised when the k-th weight is below 1e-8 or
+    no node carries mass of the k-th stack.
     """
     if not 0 <= k <= model.p:
         raise ValueError("map index out of range")
-    ops, knots = _operators(model, data)
-    alpha = model.weights.values
-    if not _updatable(alpha[k], ops[k]):
+    obj = _Objective.of(model, data)
+    if not obj.updatable(k):
         raise ValueError(
             f"map {k} has weight below floor or no node mass: map update is undefined"
         )
-    resid = _prediction(alpha, ops, knots) - _response_stack(data)
-    return _map_step(ops[k], knots[k], alpha[k], resid, model.domain)
+    return obj.map_step(k, obj.residual())
 
 
 def fit(
@@ -425,71 +480,25 @@ def fit(
     """
     if data.p != p:
         raise ValueError("dataset predictor count does not match p")
-    _check_reference(reference, data)
+    if np.any(np.diff(reference.values) <= 0.0):
+        raise ValueError("reference must have strictly increasing quantiles")
     if fixed_weights is not None and fixed_weights.size != p + 1:
         raise ValueError("fixed weights must have length p + 1")
 
-    dom, t = data.domain, data.prob_grid.size
-    node_grid = NodeGrid.uniform(dom, t)
-    x_ext = MonotoneMap.identity(node_grid).knots()[0]
-    ops = [_Interp(x_ext, Q) for Q in _predictor_stacks(data, reference)]
-    resp = _response_stack(data)
-    scale = data.prob_grid.step / data.n
-
-    # the live iterate: map knots, weights, each map read at its stack (B)
-    # and the residual; cycle states are kept as packed vectors theta
-    knots = [x_ext.copy() for _ in range(p + 1)]
-    B = np.stack([op(z) for op, z in zip(ops, knots)])
-    if fixed_weights is not None:
-        alpha = fixed_weights.values.copy()
-    else:
-        alpha = simplex_least_squares(_weight_problem(B, resp, scale)).values
-    resid = alpha @ B - resp
-
-    def sweep(alpha, resid):
-        for k in range(p + 1):
-            if not _updatable(alpha[k], ops[k]):
-                continue
-            prob = _map_step(ops[k], knots[k], alpha[k], resid, dom)
-            knots[k][1:-1] = weighted_isotonic(prob)
-            moved = ops[k](knots[k])
-            resid += alpha[k] * (moved - B[k])
-            B[k] = moved
-        if fixed_weights is None:
-            alpha = simplex_least_squares(_weight_problem(B, resp, scale)).values
-        return alpha, alpha @ B - resp
-
-    def pack(alpha):
-        return np.concatenate([z[1:-1] for z in knots] + [alpha])
-
-    def load(theta):
-        for k, z in enumerate(knots):
-            z[1:-1] = theta[k * t : (k + 1) * t]
-            B[k] = ops[k](z)
-        alpha = theta[(p + 1) * t :].copy()
-        return alpha, alpha @ B - resp
-
-    def project(jump, theta2, alpha):
-        """The extrapolated iterate made feasible; frozen maps keep theta2."""
-        out = theta2.copy()
-        for k in range(p + 1):
-            if _updatable(alpha[k], ops[k]):
-                seg = slice(k * t, (k + 1) * t)
-                box = IsotonicProblem(jump[seg], np.ones(t), dom.lo, dom.hi)
-                out[seg] = weighted_isotonic(box)
-        if fixed_weights is None:
-            out[(p + 1) * t :] = simplex_project(jump[(p + 1) * t :])
-        return out
-
-    trajectory = [_risk(resid, scale)]
-    cycle = [pack(alpha)]
+    node_grid = NodeGrid.uniform(data.domain, data.prob_grid.size)
+    identity = (MonotoneMap.identity(node_grid),) * (p + 1)
+    obj = _Objective(data, reference, identity, fixed_weights)
+    # the objective holds the live iterate; cycle states are packed vectors
+    resid = obj.residual()
+    trajectory = [obj.risk(resid)]
+    cycle = [obj.pack()]
     step_max = 1.0
     converged = False
     while not converged and len(trajectory) <= cfg.max_outer_iter:
         if len(cycle) < 3:  # the cycle's ordinary sweeps theta1, theta2
-            alpha, resid = sweep(alpha, resid)
-            risk = _risk(resid, scale)
-            cycle.append(pack(alpha))
+            resid = obj.sweep(resid)
+            risk = obj.risk(resid)
+            cycle.append(obj.pack())
         else:
             theta0, theta1, theta2 = cycle
             r = theta1 - theta0
@@ -497,30 +506,24 @@ def fit(
             norm_v = np.linalg.norm(v)
             a = min(step_max, max(1.0, np.linalg.norm(r) / norm_v)) if norm_v else 1.0
             jump = theta0 + 2.0 * a * r + a * a * v
-            alpha, resid = load(project(jump, theta2, alpha))
-            alpha, resid = sweep(alpha, resid)  # the stabilising sweep
-            risk = _risk(resid, scale)
+            resid = obj.sweep(obj.load(obj.project(jump, theta2)))  # stabilising
+            risk = obj.risk(resid)
             if risk > trajectory[-1]:  # discard it, continue from theta2
                 if a == step_max:
                     step_max = max(1.0, step_max / 4.0)
-                alpha, resid = load(theta2)
+                resid = obj.load(theta2)
                 cycle = [theta2]
                 continue
             if a == step_max:
                 step_max *= 4.0
-            cycle = [pack(alpha)]
+            cycle = [obj.pack()]
         converged = trajectory[-1] - risk <= cfg.rel_tol * trajectory[0]
         trajectory.append(risk)
 
-    maps = tuple(MonotoneMap(node_grid, z[1:-1]) for z in knots)
-    weights = (
-        fixed_weights
-        if fixed_weights is not None
-        else SimplexWeights(simplex_project(alpha))
-    )
+    maps = tuple(MonotoneMap(node_grid, z[1:-1]) for z in obj.knots)
+    weights = SimplexWeights(simplex_project(obj.alpha)) if obj.free else fixed_weights
     model = MtdrModel(reference, maps, weights)
-    report = FitReport(np.asarray(trajectory), converged)
-    return model, report
+    return model, FitReport(np.asarray(trajectory), converged)
 
 
 def predictive_seminorm(model_a: MtdrModel, model_b: MtdrModel, data: DataSet) -> float:
@@ -528,15 +531,8 @@ def predictive_seminorm(model_a: MtdrModel, model_b: MtdrModel, data: DataSet) -
 
     Averages the squared distance between the two predicted measures over
     the subjects of data (responses, if any, are ignored).  This is the
-    empirical predictive seminorm of the parameter difference.
+    empirical predictive seminorm of the parameter difference.  Both models
+    must share the data's predictor count, domain and probability grid.
     """
-    if model_a.p != model_b.p or model_a.domain != model_b.domain:
-        raise ValueError("models must share predictor count and domain")
-    if model_a.prob_grid != model_b.prob_grid:
-        raise ValueError("models must share the probability grid")
-    ops_a, knots_a = _operators(model_a, data)
-    ops_b, knots_b = _operators(model_b, data)
-    diff = _prediction(model_a.weights.values, ops_a, knots_a) - _prediction(
-        model_b.weights.values, ops_b, knots_b
-    )
-    return float(np.sqrt(_risk(diff, data.prob_grid.step / data.n)))
+    obj_a, obj_b = _Objective.of(model_a, data), _Objective.of(model_b, data)
+    return float(np.sqrt(obj_a.risk(obj_a.prediction() - obj_b.prediction())))

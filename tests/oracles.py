@@ -97,7 +97,7 @@ def dense_simplex_minima(grams, lins, resolution):
     best = np.full(len(grams), np.inf)
     for block in simplex_lattice_blocks(n, steps):
         for idx, (G, c) in enumerate(zip(grams, lins)):
-            vals = np.einsum("ij,jk,ik->i", block, G, block) - 2.0 * block @ c
+            vals = np.einsum("ij,ij->i", block @ G, block) - 2.0 * block @ c
             best[idx] = min(best[idx], float(vals.min()))
     return best
 

@@ -290,20 +290,38 @@ class TestCliFitPredictEvaluate:
         assert report is not None and report.trajectory.size >= 1
 
     def test_fit_reads_byte_order_mark(self, tmp_path):
-        # spreadsheet tools save UTF-8 CSV files with a byte-order mark
-        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
-        sample_csv(plain, seed=39)
-        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        models = []
-        for data in (plain, marked):
-            out = data.with_suffix(".json")
+        # spreadsheet tools and editors save UTF-8 files with a byte-order mark
+        def marked(path):
+            out = path.with_name("marked_" + path.name)
+            out.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            return out
+
+        def fitted(data, reference):
+            out = tmp_path / "model.json"
             code = cli(
                 ["fit", "--data", str(data), "--p", "1", "--domain", "0,1",
-                 "--t", "20", "--out", str(out)]
+                 "--t", "20", "--reference", str(reference), "--out", str(out)]
             )  # fmt: skip
             assert code == 0
-            models.append(out.read_bytes())
-        assert models[0] == models[1]
+            return out.read_bytes()
+
+        data, reference = tmp_path / "train.csv", tmp_path / "reference.json"
+        sample_csv(data, seed=39)
+        levels = (np.arange(20) + 0.5) / 20
+        reference.write_text(json.dumps({"quantiles": (levels**1.5).tolist()}))
+        model = fitted(data, reference)
+        assert fitted(marked(data), reference) == model
+        assert fitted(data, marked(reference)) == model
+        predictions = []
+        for path in (tmp_path / "model.json", marked(tmp_path / "model.json")):
+            out = tmp_path / "predictions.csv"
+            code = cli(
+                ["predict", "--model", str(path), "--data", str(data),
+                 "--out", str(out)]
+            )  # fmt: skip
+            assert code == 0
+            predictions.append(out.read_bytes())
+        assert predictions[0] == predictions[1]
 
     def test_fit_on_domain_whose_grid_end_rounds(self, tmp_path):
         # lo + width * t / t misses hi by rounding for this domain and t
