@@ -195,6 +195,21 @@ def _typed(value, kind, what: str):
     return value
 
 
+def _field(doc: dict, path: str, file: str = "model file"):
+    """doc's entry under the last key of the dotted path, else a ValueError."""
+    key = path.rpartition(".")[2]
+    if key not in doc:
+        raise ValueError(f'{file} lacks "{path}"')
+    return doc[key]
+
+
+def _restated(doc: dict, what: str, kind, value, of: str) -> None:
+    """A field (the last word of what) that restates value must equal it."""
+    key = what.rpartition(" ")[2]
+    if key in doc and _typed(doc[key], kind, what) != value:
+        raise ValueError(f"{what} {doc[key]!r} does not match {of} ({value!r})")
+
+
 def _float(value, what: str) -> float:
     """A JSON number read from a file, as a float."""
     try:
@@ -255,10 +270,10 @@ _GRID_KINDS = {
 def _sized(doc, what: str, size: int) -> int:
     """The size of the grid stored under doc[what], checked against size."""
     kind, of = _GRID_KINDS[what]
-    spec = _typed(doc[what], dict, what)
-    if spec["kind"] != kind:
+    spec = _typed(_field(doc, what), dict, what)
+    if _field(spec, f"{what}.kind") != kind:
         raise ValueError(f"{what} kind {spec['kind']!r} is not {kind!r}")
-    declared = _typed(spec["size"], int, f"{what} size")
+    declared = _typed(_field(spec, f"{what}.size"), int, f"{what} size")
     if declared != size:
         raise ValueError(f"{what} size {declared} does not match {of} ({size})")
     return declared
@@ -290,27 +305,35 @@ def load_model(path: str):
     """Load a model JSON written by save_model.
 
     Returns (model, report); report is None when the file carries none.
+    Fields restating others (t, iterations, final_objective) must agree.
     """
     doc = _read_json(path, "model file")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported model format_version")
-    dom = _typed(doc["domain"], dict, "domain")
-    domain = Domain(*(_float(dom[key], f"domain {key}") for key in ("s0", "s1")))
-    ref_values = _floats(doc["reference_quantiles"], "reference_quantiles")
-    map_values = _floats(doc["maps"], "maps", ndim=2)
+    dom = _typed(_field(doc, "domain"), dict, "domain")
+    domain = Domain(
+        *(_float(_field(dom, f"domain.{k}"), f"domain {k}") for k in ("s0", "s1"))
+    )
+    ref_values = _floats(_field(doc, "reference_quantiles"), "reference_quantiles")
+    map_values = _floats(_field(doc, "maps"), "maps", ndim=2)
     prob_grid = ProbGrid(_sized(doc, "prob_grid", ref_values.size))
     node_grid = NodeGrid(domain, _sized(doc, "node_grid", map_values.shape[1]))
     reference = QuantileGrid(domain, prob_grid, ref_values)
     maps = tuple(MonotoneMap(node_grid, z) for z in map_values)
-    weights = SimplexWeights.of(_floats(doc["alpha"], "alpha"))
+    weights = SimplexWeights.of(_floats(_field(doc, "alpha"), "alpha"))
     model = MtdrModel(reference, maps, weights)
     report = None
     if "fit_report" in doc:
         rep = _typed(doc["fit_report"], dict, "fit_report")
         report = FitReport(
-            _floats(rep["trajectory"], "fit_report trajectory"),
-            _typed(rep["converged"], bool, "fit_report converged"),
+            _floats(_field(rep, "fit_report.trajectory"), "fit_report trajectory"),
+            _typed(_field(rep, "fit_report.converged"), bool, "fit_report converged"),
         )
+    _restated(doc, "t", int, node_grid.size, "the map length")
+    if report is not None:
+        n_iter, last = report.iterations, report.final_objective
+        _restated(rep, "fit_report iterations", int, n_iter, "the trajectory")
+        _restated(rep, "fit_report final_objective", _NUMBER, last, "the trajectory")
     return model, report
 
 
@@ -327,7 +350,8 @@ def _resolve_reference(choice: str, data: DataSet) -> QuantileGrid:
         lam = np.full(len(responses), 1.0 / len(responses))
         return frechet_mean(responses, lam)
     doc = _read_json(choice, "reference file")
-    return QuantileGrid(domain, grid, _floats(doc["quantiles"], "reference quantiles"))
+    values = _floats(_field(doc, "quantiles", "reference file"), "reference quantiles")
+    return QuantileGrid(domain, grid, values)
 
 
 # -- leave-one-out cross validation ------------------------------------------
@@ -451,6 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     numbers = _parse_list(float, "numbers")
+    noise_default = ",".join(str(k) for k in NoiseSpec().orders)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     sim.add_argument("--scenario", choices=["single", "multi"], required=True)
@@ -463,8 +488,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--noise-orders",
         type=_parse_list(int, "integers"),
-        help="response warp orders, symmetric about 0 (default -3,3); 0 is the"
-        " identity warp, so --noise-orders=0 turns the noise off",
+        help=f"response warp orders, symmetric about 0 (default {noise_default}); 0"
+        " is the identity warp, so --noise-orders=0 turns the noise off",
     )
     sim.add_argument("--out", required=True, help="output directory")
 
@@ -500,9 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    noise = None
-    if args.noise_orders is not None:
-        noise = NoiseSpec(tuple(args.noise_orders))
+    noise = None if args.noise_orders is None else NoiseSpec(tuple(args.noise_orders))
     size = dict(n=args.n, m=args.m, reps=args.reps, seed=args.seed, noise=noise)
     if args.scenario == "single":
         if len(args.alpha) == 1:
@@ -523,8 +546,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    grid = ProbGrid.midpoint(args.t)
-    res = ingest(args.data, args.domain, grid, args.p, require_response=True)
+    res = ingest(args.data, args.domain, ProbGrid.midpoint(args.t), args.p)
     reference = _resolve_reference(args.reference, res.dataset)
     fixed = None
     if args.fixed_weights is not None:
@@ -552,9 +574,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model, _ = load_model(args.model)
-    res = ingest(
-        args.data, model.domain, model.prob_grid, model.p, require_response=True
-    )
+    res = ingest(args.data, model.domain, model.prob_grid, model.p)
     preds = [predict(model, s.predictors) for s in res.dataset.subjects]
     actuals = [s.response for s in res.dataset.subjects]
     value = rmse(preds, actuals) if args.metric == "rmse" else awd(preds, actuals)
@@ -566,8 +586,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_loocv(args) -> int:
-    grid = ProbGrid.midpoint(args.t)
-    res = ingest(args.data, args.domain, grid, args.p, require_response=True)
+    res = ingest(args.data, args.domain, ProbGrid.midpoint(args.t), args.p)
     report = loocv(res.dataset, res.subject_ids, args.reference)
     _write_json(args.out, report)
     return 0

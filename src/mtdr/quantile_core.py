@@ -161,14 +161,19 @@ def quantile_from_samples(samples, domain: Domain, grid: ProbGrid) -> QuantileGr
     grid : ProbGrid
         Levels at which quantiles are recorded.
     """
-    s = np.asarray(samples, dtype=float)
+    s = np.asarray(samples, dtype=float).ravel()
     if s.size == 0:
         raise ValueError("empty sample")
     if not np.all(np.isfinite(s)):
         raise ValueError("samples must be finite")
     s = domain.clamp(s, "sample value")
-    q = np.quantile(s, grid.levels, method="linear")
+    q = _type7_rows(s, grid.levels)
     return QuantileGrid(domain, grid, _guard_monotone(q, domain))
+
+
+def _type7_rows(samples: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """quantile_from_samples' type-7 estimator, applied to each row of samples."""
+    return np.quantile(samples, levels, axis=-1, method="linear").T
 
 
 def wasserstein_distance(mu: QuantileGrid, nu: QuantileGrid) -> float:

@@ -27,7 +27,11 @@ from mtdr.quantile_core import (
     frechet_mean,
     quantile_from_samples,
 )
-from mtdr.simulation import generate_dataset, single_predictor_scenario
+from mtdr.simulation import (
+    generate_dataset,
+    multi_predictor_scenario,
+    single_predictor_scenario,
+)
 from mtdr.solvers import SimplexWeights
 
 UNIT = Domain(0.0, 1.0)
@@ -62,25 +66,34 @@ def identity_model(t=25):
 
 
 class TestWriteIngestRoundTrip:
-    def test_pipeline_identity(self, tmp_path):
-        spec = single_predictor_scenario(0.5, n=5, m=12, reps=1, seed=11)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            single_predictor_scenario(0.5, n=5, m=12, reps=1, seed=11),
+            multi_predictor_scenario(n=5, m=12, reps=1, seed=11),
+        ],
+        ids=["single", "multi"],
+    )
+    def test_pipeline_identity(self, tmp_path, spec):
         gen = generate_dataset(spec, np.random.default_rng(11), t=40)
         path = tmp_path / "long.csv"
         write_long_csv(path, gen.samples.predictors, gen.samples.responses)
         grid = ProbGrid.midpoint(40)
-        res = ingest(str(path), UNIT, grid, p=1)
+        res = ingest(str(path), UNIT, grid, p=spec.p)
         n_total = gen.samples.predictors.shape[0]
         assert len(res.subject_ids) == n_total
         for i, subject in enumerate(res.dataset.subjects):
-            pred = quantile_from_samples(gen.samples.predictors[i, 0], UNIT, grid)
+            for j in range(spec.p):
+                pred = quantile_from_samples(gen.samples.predictors[i, j], UNIT, grid)
+                assert np.array_equal(subject.predictors[j].values, pred.values)
             resp = quantile_from_samples(gen.samples.responses[i], UNIT, grid)
-            assert np.array_equal(subject.predictors[0].values, pred.values)
             assert np.array_equal(subject.response.values, resp.values)
         # the training grids were built from the same raw draws
         for trained, parsed in zip(gen.train.subjects, res.dataset.subjects):
-            assert np.array_equal(
-                trained.predictors[0].values, parsed.predictors[0].values
-            )
+            for j in range(spec.p):
+                assert np.array_equal(
+                    trained.predictors[j].values, parsed.predictors[j].values
+                )
             assert np.array_equal(trained.response.values, parsed.response.values)
 
     def test_default_subject_ids(self, tmp_path):
@@ -822,6 +835,46 @@ class TestExitCodes:
                 {**valid, "fit_report": {**report, "trajectory": [1.0, True]}},
                 "fit_report trajectory must be an array of numbers",
             ),
+            # a missing field is named with the file that lacks it
+            *[
+                (
+                    {k: v for k, v in valid.items() if k != key},
+                    f'model file lacks "{key}"',
+                )
+                for key in (
+                    "domain", "reference_quantiles", "maps", "prob_grid",
+                    "node_grid", "alpha",
+                )
+            ],  # fmt: skip
+            ({**valid, "domain": {"s1": 1.0}}, 'model file lacks "domain.s0"'),
+            ({**valid, "domain": {"s0": 0.0}}, 'model file lacks "domain.s1"'),
+            (
+                {**valid, "prob_grid": {"size": 4}},
+                'model file lacks "prob_grid.kind"',
+            ),
+            (
+                {**valid, "node_grid": {"kind": "uniform"}},
+                'model file lacks "node_grid.size"',
+            ),
+            (
+                {**valid, "fit_report": {"converged": False}},
+                'model file lacks "fit_report.trajectory"',
+            ),
+            (
+                {**valid, "fit_report": {"trajectory": [1.0, 0.5]}},
+                'model file lacks "fit_report.converged"',
+            ),
+            # fields restating the model must agree with it
+            ({**valid, "t": 5}, "t 5 does not match the map length (4)"),
+            ({**valid, "t": 4.0}, "t must be an integer"),
+            (
+                {**valid, "fit_report": {**report, "iterations": 999}},
+                "fit_report iterations 999 does not match the trajectory (1)",
+            ),
+            (
+                {**valid, "fit_report": {**report, "final_objective": -1.0}},
+                "fit_report final_objective -1.0 does not match the trajectory (0.5)",
+            ),
         ]
         data = tmp_path / "d.csv"
         sample_csv(data, n=2, m=4, seed=43)
@@ -858,6 +911,7 @@ class TestExitCodes:
                 {"quantiles": [0.1, 0.3, 0.6, True]},
                 "reference quantiles must be an array of numbers",
             ),
+            ({"values": [0.1, 0.3, 0.6, 0.9]}, 'reference file lacks "quantiles"'),
         ]:
             ref_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             code = cli(

@@ -57,8 +57,11 @@ class TestSineWarp:
 
 class TestNoiseSpec:
     def test_default_support_symmetric(self):
+        # the law every scenario uses unless given another
         spec = NoiseSpec()
-        assert spec.orders == (-3, -2, -1, 1, 2, 3)
+        assert spec.orders == (-3, 3)
+        assert single_predictor_scenario(0.5).noise == spec
+        assert multi_predictor_scenario().noise == spec
 
     def test_validation(self):
         with pytest.raises(ValueError, match="distinct"):
