@@ -56,8 +56,6 @@ __all__ = [
     "load_model",
     "write_study",
     "loocv",
-    "cli",
-    "main",
 ]
 
 FORMAT_VERSION = 1
@@ -308,7 +306,7 @@ def load_model(path: str):
     Fields restating others (t, iterations, final_objective) must agree.
     """
     doc = _read_json(path, "model file")
-    if doc.get("format_version") != FORMAT_VERSION:
+    if _typed(_field(doc, "format_version"), int, "format_version") != FORMAT_VERSION:
         raise ValueError("unsupported model format_version")
     dom = _typed(_field(doc, "domain"), dict, "domain")
     domain = Domain(
@@ -454,6 +452,17 @@ def _parse_domain(text: str) -> Domain:
     return Domain(lo, hi)
 
 
+def _parse_count(text: str) -> int:
+    """An integer of at least 0, such as a predictor count."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {count}")
+    return count
+
+
 def _parse_list(cast, what: str):
     """An argparse type reading a comma-separated list of `what`."""
 
@@ -495,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     data_args = argparse.ArgumentParser(add_help=False)
     data_args.add_argument("--data", required=True)
-    data_args.add_argument("--p", type=int, required=True)
+    data_args.add_argument("--p", type=_parse_count, required=True)
     data_args.add_argument("--domain", type=_parse_domain, required=True)
     data_args.add_argument("--reference", default="uniform")
     data_args.add_argument("--t", type=int, default=1000)

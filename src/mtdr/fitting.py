@@ -472,7 +472,10 @@ def fit(
     at most rel_tol times the initial risk (converged), or once the
     trajectory holds max_outer_iter entries after the initial one.  A
     discarded stabilising sweep adds no entry and a cycle discards at most
-    one, so a fit runs at most 1.5 max_outer_iter sweeps.
+    one, so a fit runs at most 1.5 max_outer_iter sweeps.  An ordinary
+    sweep that raises the risk, which only rounding can do (near a zero
+    risk, say), is not kept either: the fit stops at the last kept
+    iterate, converged.
 
     Returns
     -------
@@ -498,6 +501,10 @@ def fit(
         if len(cycle) < 3:  # the cycle's ordinary sweeps theta1, theta2
             resid = obj.sweep(resid)
             risk = obj.risk(resid)
+            if risk > trajectory[-1]:  # only rounding: stop at the last kept
+                obj.load(cycle[-1])
+                converged = True
+                break
             cycle.append(obj.pack())
         else:
             theta0, theta1, theta2 = cycle

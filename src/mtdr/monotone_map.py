@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantile_core import Domain, QuantileGrid, _guard_monotone, _readonly
+from .quantile_core import Domain, QuantileGrid, _checked, _guard_monotone
 
 __all__ = [
     "NodeGrid",
@@ -74,17 +74,8 @@ class MonotoneMap:
     values: np.ndarray
 
     def __post_init__(self):
-        z = _readonly(np.atleast_1d(self.values))
+        z = _checked(self.values, self.grid.size, self.grid.domain, "map")
         object.__setattr__(self, "values", z)
-        if z.size != self.grid.size:
-            raise ValueError("map value length must match node grid size")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("map values must be finite")
-        if np.any(np.diff(z) < 0.0):
-            raise ValueError("map values must be nondecreasing")
-        dom = self.grid.domain
-        if z[0] < dom.lo or z[-1] > dom.hi:
-            raise ValueError("map values must lie inside the domain")
 
     @classmethod
     def identity(cls, grid: NodeGrid) -> "MonotoneMap":

@@ -125,16 +125,27 @@ class QuantileGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _readonly(np.atleast_1d(self.values))
+        v = _checked(self.values, self.grid.size, self.domain, "quantile")
         object.__setattr__(self, "values", v)
-        if v.size != self.grid.size:
-            raise ValueError("quantile vector length must match grid size")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("quantile values must be finite")
-        if v.size > 1 and np.any(np.diff(v) < 0.0):
-            raise ValueError("quantile values must be nondecreasing")
-        if v[0] < self.domain.lo or v[-1] > self.domain.hi:
-            raise ValueError("quantile values must lie inside the domain")
+
+
+def _checked(values, size: int, domain: Domain, noun: str) -> np.ndarray:
+    """values as a read-only vector that holds the invariant, else a ValueError.
+
+    Quantile and map vectors share one invariant: size entries, finite,
+    nondecreasing and inside the domain.  noun ("quantile" or "map") names
+    the values in the error.
+    """
+    v = _readonly(np.atleast_1d(values))
+    if v.size != size:
+        raise ValueError(f"{noun} vector length must match its grid size")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{noun} values must be finite")
+    if np.any(np.diff(v) < 0.0):
+        raise ValueError(f"{noun} values must be nondecreasing")
+    if v[0] < domain.lo or v[-1] > domain.hi:
+        raise ValueError(f"{noun} values must lie inside the domain")
+    return v
 
 
 def _guard_monotone(q: np.ndarray, domain: Domain) -> np.ndarray:

@@ -696,6 +696,20 @@ class TestCliLoocv:
         _, second = self.run_loocv(tmp_path, "b.json")
         assert first.read_bytes() == second.read_bytes()
 
+    def test_data_fitted_exactly(self, tmp_path):
+        # each response equals its predictor, so identity maps with all the
+        # weight on pred1 fit every fold to rounding level
+        pred = np.random.default_rng(1).beta(2, 3, (20, 1, 200)) * 100
+        data = tmp_path / "exact.csv"
+        write_long_csv(data, pred, pred[:, 0, :])
+        out = tmp_path / "report.json"
+        code = cli(
+            ["loocv", "--data", str(data), "--p", "1", "--domain", "0,100",
+             "--t", "100", "--out", str(out)]
+        )  # fmt: skip
+        assert code == 0
+        assert all(f["converged"] for f in json.loads(out.read_text())["folds"])
+
     def test_needs_two_subjects(self, tmp_path, capsys):
         data = tmp_path / "solo.csv"
         sample_csv(data, n=1, m=6, seed=42)
@@ -742,6 +756,28 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["fit", "loocv"])
+    def test_negative_p_is_usage_error(self, tmp_path, capsys, command):
+        data = tmp_path / "d.csv"
+        sample_csv(data, n=3, m=4, seed=45)
+        code = cli(
+            [command, "--data", str(data), "--p", "-1", "--domain", "0,1",
+             "--out", str(tmp_path / "out.json")]
+        )  # fmt: skip
+        assert code == 2
+        assert "argument --p: must be at least 0" in capsys.readouterr().err
+
+    def test_zero_p_fits_the_intercept(self, tmp_path):
+        _, resp = small_samples(n=4, m=8, seed=46)
+        data = tmp_path / "responses.csv"
+        write_long_csv(data, np.empty((4, 0, 8)), resp)
+        args = ["--data", str(data), "--p", "0", "--domain", "0,1", "--t", "6"]
+        model = str(tmp_path / "m.json")
+        assert cli(["fit", *args, "--out", model]) == 0
+        assert cli(["loocv", *args, "--out", str(tmp_path / "r.json")]) == 0
+        predict_args = ["--model", model, "--data", str(data)]
+        assert cli(["predict", *predict_args, "--out", str(tmp_path / "p.csv")]) == 0
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = cli(
             [
@@ -763,6 +799,9 @@ class TestExitCodes:
         report = {"trajectory": [1.0, 0.5], "converged": False}
         cases = [
             ({"format_version": 99}, "format_version"),
+            # format_version is the JSON integer 1, not true or 1.0
+            ({**valid, "format_version": True}, "format_version must be an integer"),
+            ({**valid, "format_version": 1.0}, "format_version must be an integer"),
             ([valid], "model file must be a JSON object"),
             ("[" * 100000, "model file is nested too deeply"),
             ({**valid, "maps": 5}, "maps must be an array of numbers"),

@@ -352,6 +352,26 @@ class TestFit:
         assert_descends(report)
         assert np.array_equal(model.maps[1].values, model.node_grid.nodes)
 
+    @pytest.mark.parametrize("alpha0", [0.5, 0.7, 0.1])
+    def test_exact_data_stop_at_rounding(self, alpha0):
+        # responses the model generates exactly: the risk starts near zero,
+        # where an ordinary sweep can raise it by rounding; the fit stops at
+        # the last kept iterate instead of reporting the rise
+        rng = np.random.default_rng(0)
+        reference = uniform_reference(50)
+        subjects = []
+        for _ in range(20):
+            x = np.sort(rng.uniform(0.05, 0.95, 50))
+            pred = QuantileGrid(UNIT, reference.grid, x)
+            q = alpha0 * reference.values + (1.0 - alpha0) * pred.values
+            subjects.append(Subject((pred,), QuantileGrid(UNIT, reference.grid, q)))
+        data = DataSet(tuple(subjects))
+        model, report = fit(data, 1, reference)
+        assert report.converged
+        assert np.all(np.diff(report.trajectory) <= 0.0)
+        assert np.allclose(model.weights.values, [alpha0, 1.0 - alpha0])
+        assert report.final_objective == empirical_risk(model, data)
+
     def test_permutation_equivariance(self):
         spec = multi_predictor_scenario(
             n=40, m=1, reps=1, seed=21, noise=NoiseSpec.none(), test_fraction=0.0

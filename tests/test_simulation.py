@@ -86,15 +86,16 @@ class TestNoiseSpec:
         assert np.array_equal(a, b)
         assert set(np.unique(a)) <= {-3, 3}
 
-    def test_noise_unbiasedness_monte_carlo(self):
+    def test_noise_law_is_unbiased(self):
+        # the warps of the law's orders average exactly to the identity
         spec = NoiseSpec()
-        rng = np.random.default_rng(7)
-        ks = spec.draw(rng, 10**5)
-        for x in np.arange(0.1, 0.95, 0.1):
-            vals = sine_warp(0, x) + np.zeros(ks.size)
-            vals = np.array([sine_warp(int(k), x) for k in ks[:2000]])
-            err = abs(vals.mean() - x)
-            assert err < 3.0 * vals.std() / np.sqrt(vals.size) + 1e-12
+        x = np.linspace(0.0, 1.0, 1001)
+        mean = np.mean([sine_warp(k, x) for k in spec.orders], axis=0)
+        assert np.max(np.abs(mean - x)) <= 1e-15
+        # and draw picks each order equally often, up to sampling error
+        ks = spec.draw(np.random.default_rng(7), 2000)
+        freq = np.array([np.mean(ks == k) for k in spec.orders])
+        assert np.all(np.abs(freq - 1.0 / len(spec.orders)) < 0.05)
 
 
 class TestScenarioSpec:
