@@ -452,15 +452,19 @@ def _parse_domain(text: str) -> Domain:
     return Domain(lo, hi)
 
 
-def _parse_count(text: str) -> int:
-    """An integer of at least 0, such as a predictor count."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, not {count}")
-    return count
+def _parse_count(least: int):
+    """An argparse type reading an integer of at least `least`, such as a count."""
+
+    def parse(text: str) -> int:
+        try:
+            count = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if count < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {count}")
+        return count
+
+    return parse
 
 
 def _parse_list(cast, what: str):
@@ -489,11 +493,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     sim.add_argument("--scenario", choices=["single", "multi"], required=True)
     sim.add_argument("--alpha", type=numbers, required=True)
-    sim.add_argument("--n", type=int, default=200)
-    sim.add_argument("--m", type=int, default=200)
-    sim.add_argument("--reps", type=int, default=30)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--t", type=int, default=1000)
+    sim.add_argument("--n", type=_parse_count(1), default=200)
+    sim.add_argument("--m", type=_parse_count(1), default=200)
+    sim.add_argument("--reps", type=_parse_count(1), default=30)
+    sim.add_argument("--seed", type=_parse_count(0), default=0)
+    sim.add_argument("--t", type=_parse_count(2), default=1000)
     sim.add_argument(
         "--noise-orders",
         type=_parse_list(int, "integers"),
@@ -504,10 +508,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     data_args = argparse.ArgumentParser(add_help=False)
     data_args.add_argument("--data", required=True)
-    data_args.add_argument("--p", type=_parse_count, required=True)
+    data_args.add_argument("--p", type=_parse_count(0), required=True)
     data_args.add_argument("--domain", type=_parse_domain, required=True)
     data_args.add_argument("--reference", default="uniform")
-    data_args.add_argument("--t", type=int, default=1000)
+    data_args.add_argument("--t", type=_parse_count(2), default=1000)
 
     fit_p = sub.add_parser(
         "fit", parents=[data_args], help="fit a model to a long sample CSV"

@@ -3,13 +3,16 @@
 Map updates reduce to weighted isotonic regression with box constraints,
 solved exactly by pool-adjacent-violators over a stack of blocks, then
 clipping.  Weight updates are least squares over the probability simplex
-in p + 1 unknowns, solved exactly by enumerating supports and solving each
-support's principal subsystem of one stationarity (KKT) system.
+in p + 1 unknowns, solved exactly by a primal active set on one
+stationarity (KKT) system (Lawson & Hanson 1974), with no cap on p.  A
+warm start from the current weights costs one small solve and a
+certificate check when the support has not changed, and never changes
+the answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,20 +118,21 @@ def simplex_project(v) -> np.ndarray:
     return np.maximum(v + tau, 0.0)
 
 
-# largest simplex dimension whose supports simplex_least_squares enumerates
-_MAX_SIMPLEX_DIM = 16
-
-
 @dataclass(frozen=True, eq=False)
 class SimplexLSProblem:
     """Least squares over the simplex in normal-equation form.
 
     minimize a' gram a - 2 lin' a  subject to a in the probability simplex.
-    gram must be symmetric positive semidefinite.
+    gram must be symmetric positive semidefinite.  Validation also keeps the
+    problem's scale, the largest entry of gram and lin in absolute value,
+    and the least eigenvalue of gram, which bounds the curvature of every
+    face of the simplex from below.
     """
 
     gram: np.ndarray
     lin: np.ndarray
+    _scale: float = field(init=False, repr=False)
+    _least_eig: float = field(init=False, repr=False)
 
     def __post_init__(self):
         G = _readonly(np.atleast_2d(self.gram))
@@ -140,11 +144,15 @@ class SimplexLSProblem:
             raise ValueError("gram must be square and match lin")
         if not (np.all(np.isfinite(G)) and np.all(np.isfinite(c))):
             raise ValueError("gram and lin must be finite")
-        scale = max(float(np.abs(G).max()), 1.0)
+        g_max = float(np.abs(G).max())
+        scale = max(g_max, 1.0)
         if np.abs(G - G.T).max() > 1e-10 * scale:
             raise ValueError("gram must be symmetric")
-        if np.linalg.eigvalsh(G).min() < -1e-10 * scale:
+        least = float(np.linalg.eigvalsh(G).min())
+        if least < -1e-10 * scale:
             raise ValueError("gram must be positive semidefinite")
+        object.__setattr__(self, "_scale", max(g_max, float(np.abs(c).max())))
+        object.__setattr__(self, "_least_eig", least)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,50 +187,141 @@ class SimplexWeights:
         return self.values.size
 
 
-def simplex_least_squares(prob: SimplexLSProblem) -> SimplexWeights:
-    """Minimize a' G a - 2 c' a over the simplex by support enumeration.
+# Rounding-level tolerance of simplex_least_squares, relative to the scale
+# of G and c: for its optimality test and for telling flat faces.  A start
+# must clear the wider _START_MARGIN, so that near ties go to the method.
+_TOL = 1e-12
+_START_MARGIN = 1e-9
 
-    Some minimizer has a minimal support S whose stationarity system
 
-        [2 G_SS  1] [a_S]   [2 c_S]
-        [1'      0] [lam] = [1    ]
+def _face(G: np.ndarray, c: np.ndarray, support: list):
+    """The weights solving a support's stationarity system; None if singular.
 
-    is nonsingular, and its solution is that minimizer.  So solving, for
-    every nonempty support, its principal subsystem of the bordered system
-    of all n columns, keeping the solutions that are primal feasible (up to
-    roundoff, then clipped and renormalized onto the simplex) and returning
-    the one with the least objective is exact.
-    Every kept candidate is a point of the simplex, and singleton supports
-    always solve, so the vertices are always candidates; this covers one
-    column and a zero Gram matrix.  The cost is 2^n small solves, so
-    dimensions above 16 are refused.
+    The system's rows are the support's in ascending order, then the border.
     """
-    G, c = prob.gram, prob.lin
+    k = len(support)
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = 2.0 * G.take(support, 0).take(support, 1)
+    kkt[k, k] = 0.0
+    rhs = np.ones(k + 1)
+    rhs[:k] = 2.0 * c.take(support)
+    try:
+        z = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return z[:k] if np.isfinite(z).all() else None
+
+
+def _across(G: np.ndarray, support: list) -> np.ndarray:
+    """G across a support's face, in the basis e_i - e_first of its directions."""
+    Gs = G.take(support, 0).take(support, 1)
+    return Gs[1:, 1:] - Gs[1:, :1] - Gs[:1, 1:] + Gs[0, 0]
+
+
+def _point(n: int, support: list, z: np.ndarray) -> np.ndarray:
+    """Face weights z clipped at zero and renormalized onto the simplex."""
+    a = np.zeros(n)
+    a[support] = np.maximum(z, 0.0)
+    return a / a.sum()
+
+
+def _reduced(G: np.ndarray, c: np.ndarray, a: np.ndarray, support: list) -> np.ndarray:
+    """Reduced gradients g_j - a'g at a, g = G a - c; inf on the support."""
+    g = G @ a - c
+    red = g - a @ g
+    red[support] = np.inf
+    return red
+
+
+def _started(prob: SimplexLSProblem, support: list):
+    """The point of support if it certifiably is the unique minimizer, else None.
+
+    Positive weights, positive curvature of G across the face and positive
+    reduced gradients off it make the point the only minimizer, so the
+    active set ends there too.
+    """
+    G, c, margin = prob.gram, prob.lin, _START_MARGIN * prob._scale
+    z = _face(G, c, support)
+    if z is None or z.min() <= _START_MARGIN:
+        return None
+    # the curvature across any face is at least the least eigenvalue of G
+    if prob._least_eig <= margin:
+        if np.linalg.eigvalsh(_across(G, support)).min(initial=np.inf) <= margin:
+            return None
+    a = _point(c.size, support, z)
+    if _reduced(G, c, a, support).min() <= margin:
+        return None
+    return a
+
+
+def simplex_least_squares(prob: SimplexLSProblem, start=None) -> SimplexWeights:
+    """Minimize a' G a - 2 c' a over the simplex by a primal active set.
+
+    A support is a set of weights allowed to be nonzero.  Its face weights
+    solve the principal subsystem, the support's rows in ascending order
+    and then the border, of the stationarity (KKT) system
+
+        [2 G  1] [a  ]   [2 c]
+        [1'   0] [lam] = [1  ],
+
+    and its point is those weights clipped at zero and renormalized onto
+    the simplex.  With g = G a - c, a point is optimal exactly when every
+    reduced gradient g_j - a'g is nonnegative.  From the best vertex, the
+    method adds the index of least reduced gradient and moves toward the
+    new face weights, dropping each weight that reaches zero on the way,
+    until no reduced gradient is below -1e-12 times the scale of G and c;
+    ties go to the lowest index.  Where a support's subsystem is singular
+    (collinear or duplicated columns, a zero G), the objective is linear
+    along the subsystem's null direction, and the step follows it downhill
+    to the boundary instead.  Each added index lowers the objective, so
+    supports do not repeat and the method is finite; a repeat, which only
+    rounding can cause, ends it.  There is no dimension cap.
+
+    start (weights, such as the solution of a nearby problem) warm-starts
+    the method: its support's point is returned when its weights, the
+    curvature across its face and its reduced gradients off it exceed 1e-9
+    (times the scale for the last two).  That point is then the unique
+    minimizer, where the method ends as well, and otherwise the method
+    runs from its vertex; either way the answer does not depend on start.
+    """
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != prob.lin.shape:
+            raise ValueError("start must hold one weight per column of gram")
+        a = _started(prob, np.flatnonzero(start > 0.0).tolist())
+        if a is not None:
+            return SimplexWeights(a)
+    G, c, tol = prob.gram, prob.lin, _TOL * prob._scale
     n = c.size
-    if n > _MAX_SIMPLEX_DIM:
-        raise ValueError(
-            f"simplex least squares enumerates supports; dimension {n}"
-            f" exceeds the limit of {_MAX_SIMPLEX_DIM}"
-        )
-    feas_tol = 1e-9 * max(float(np.abs(G).max()), float(np.abs(c).max()), 1.0)
-    kkt = np.ones((n + 1, n + 1))
-    kkt[:n, :n] = 2.0 * G
-    kkt[n, n] = 0.0
-    rhs = np.append(2.0 * c, 1.0)
-    best, best_obj = None, np.inf
-    for mask in range(1, 1 << n):
-        support = [j for j in range(n) if mask >> j & 1]
-        rows = support + [n]
-        try:
-            a_s = np.linalg.solve(kkt[np.ix_(rows, rows)], rhs[rows])[:-1]
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(a_s)) or a_s.min() < -feas_tol:
-            continue
-        a = np.zeros(n)
-        a[support] = np.maximum(a_s, 0.0)
-        a /= a.sum()
-        obj = float(a @ (G @ a) - 2.0 * (c @ a))
-        if obj < best_obj:
-            best, best_obj = a, obj
-    return SimplexWeights(best)
+    support = [int(np.argmin(np.diag(G) - 2.0 * c))]
+    a = _point(n, support, np.ones(1))
+    seen = set()
+    while True:
+        red = _reduced(G, c, a, support)
+        j = int(np.argmin(red))
+        if red[j] >= -tol or tuple(support) in seen:
+            return SimplexWeights(a)
+        seen.add(tuple(support))
+        support = sorted(support + [j])
+        while True:
+            a_s = a[support]
+            curv, dirs = np.linalg.eigh(_across(G, support))
+            flat = curv.size > 0 and curv[0] <= tol
+            z = None if flat else _face(G, c, support)
+            if z is not None and z.min() >= 0.0:
+                a = _point(n, support, z)
+                break
+            if z is None:  # flat: the objective is linear along dirs[:, 0]
+                d = np.concatenate(([-dirs[:, 0].sum()], dirs[:, 0]))
+                if (G @ a - c)[support] @ d > 0.0:
+                    d = -d
+            else:  # z has a negative weight, so some weight reaches zero first
+                d = z - a_s
+            falling = np.flatnonzero(d < 0.0)
+            ratios = a_s[falling] / -d[falling]
+            k = int(np.argmin(ratios))
+            a_s = np.maximum(a_s + ratios[k] * d, 0.0)
+            a_s[falling[k]] = 0.0
+            a = np.zeros(n)
+            a[support] = a_s
+            support = [i for i in support if a[i] > 0.0]

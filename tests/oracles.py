@@ -102,6 +102,51 @@ def dense_simplex_minima(grams, lins, resolution):
     return best
 
 
+def simplex_ls_oracle(G, c):
+    """Minimize a' G a - 2 c' a over the simplex by support enumeration.
+
+    Some minimizer has a minimal support S whose stationarity system
+
+        [2 G_SS  1] [a_S]   [2 c_S]
+        [1'      0] [lam] = [1    ]
+
+    is nonsingular, and its solution is that minimizer.  So solving, for
+    every nonempty support, its principal subsystem of the bordered system
+    of all n columns, keeping the solutions that are primal feasible (up to
+    roundoff, then clipped and renormalized onto the simplex) and returning
+    the one with the least objective is exact.  Singleton supports always
+    solve, so the vertices are always candidates.  The cost is 2^n small
+    solves, so keep n small.
+    """
+    G = np.asarray(G, dtype=float)
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    if n > 12:
+        raise ValueError("oracle is exponential in n; keep n small")
+    feas_tol = 1e-9 * max(float(np.abs(G).max()), float(np.abs(c).max()), 1.0)
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = 2.0 * G
+    kkt[n, n] = 0.0
+    rhs = np.append(2.0 * c, 1.0)
+    best, best_obj = None, np.inf
+    for mask in range(1, 1 << n):
+        support = [j for j in range(n) if mask >> j & 1]
+        rows = support + [n]
+        try:
+            a_s = np.linalg.solve(kkt[np.ix_(rows, rows)], rhs[rows])[:-1]
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(a_s)) or a_s.min() < -feas_tol:
+            continue
+        a = np.zeros(n)
+        a[support] = np.maximum(a_s, 0.0)
+        a /= a.sum()
+        obj = float(a @ (G @ a) - 2.0 * (c @ a))
+        if obj < best_obj:
+            best, best_obj = a, obj
+    return best
+
+
 def simplex_projection_bisect(v, iters=200):
     """Simplex projection via bisection on the threshold, for cross-checking.
 

@@ -767,6 +767,32 @@ class TestExitCodes:
         assert code == 2
         assert "argument --p: must be at least 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--t", "1"], "argument --t: must be at least 2, not 1"),
+            (["fit", "--t", "-3"], "argument --t: must be at least 2, not -3"),
+            (["loocv", "--t", "1"], "argument --t: must be at least 2, not 1"),
+            (["simulate", "--t", "1"], "argument --t: must be at least 2, not 1"),
+            (["simulate", "--n", "0"], "argument --n: must be at least 1, not 0"),
+            (["simulate", "--m", "0"], "argument --m: must be at least 1, not 0"),
+            (["simulate", "--reps", "0"], "argument --reps: must be at least 1, not 0"),
+            (["simulate", "--seed", "-1"], "argument --seed: must be at least 0, not -1"),
+            (["simulate", "--reps", "two"], "argument --reps: invalid int value: 'two'"),
+        ],
+    )
+    def test_out_of_range_count_is_usage_error(self, tmp_path, capsys, argv, message):
+        command, *count = argv
+        if command == "simulate":
+            rest = ["--scenario", "single", "--alpha", "0.5"]
+        else:
+            data = tmp_path / "d.csv"
+            sample_csv(data, n=3, m=4, seed=45)
+            rest = ["--data", str(data), "--p", "1", "--domain", "0,1"]
+        code = cli([command, *rest, *count, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_zero_p_fits_the_intercept(self, tmp_path):
         _, resp = small_samples(n=4, m=8, seed=46)
         data = tmp_path / "responses.csv"

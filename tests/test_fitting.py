@@ -352,6 +352,24 @@ class TestFit:
         assert_descends(report)
         assert np.array_equal(model.maps[1].values, model.node_grid.nodes)
 
+    def test_twenty_predictors(self):
+        # 21 weights: the weight step has no dimension cap
+        rng = np.random.default_rng(20)
+        t, p = 30, 20
+        reference = uniform_reference(t)
+        mix = rng.dirichlet(np.ones(p))
+        subjects = []
+        for _ in range(25):
+            preds = tuple(random_measure(rng, t) for _ in range(p))
+            q = sum(w * g.values for w, g in zip(mix, preds))
+            q = 0.8 * q + 0.2 * sine_warp(int(rng.choice([-2, 2])), q)
+            subjects.append(Subject(preds, QuantileGrid(UNIT, reference.grid, q)))
+        model, report = fit(DataSet(tuple(subjects)), p, reference, FitConfig(20))
+        assert model.weights.size == p + 1
+        assert np.all(model.weights.values >= 0.0)
+        assert model.weights.values.sum() == pytest.approx(1.0, abs=1e-12)
+        assert_descends(report, FitConfig(20))
+
     @pytest.mark.parametrize("alpha0", [0.5, 0.7, 0.1])
     def test_exact_data_stop_at_rounding(self, alpha0):
         # responses the model generates exactly: the risk starts near zero,

@@ -16,6 +16,7 @@ from mtdr.solvers import (
 from oracles import (
     dense_simplex_minima,
     isotonic_oracle,
+    simplex_ls_oracle,
     simplex_projection_bisect,
 )
 
@@ -25,6 +26,41 @@ def random_psd_problem(rng, n, cols=8):
     B = rng.normal(size=(cols, n))
     target = rng.normal(size=cols)
     return SimplexLSProblem(B.T @ B, B.T @ target), B, target
+
+
+PROBLEM_KINDS = [
+    "random", "rank_deficient", "duplicated", "near_collinear", "zero_gram", "off_range",
+]
+
+
+def problem_of_kind(rng, kind, n):
+    """A simplex least squares problem of one of PROBLEM_KINDS.
+
+    All but the last two come from a design B and a target y (G = B'B,
+    c = B'y); zero_gram has G = 0, and off_range a rank-deficient G with
+    a linear term outside its range, so that faces can be flat (the
+    objective linear along a direction of the face).
+    """
+    rows = n + 3
+    B = rng.normal(size=(rows, n)) * rng.uniform(0.1, 10.0)
+    y = rng.normal(size=rows) * np.abs(B).max()
+    if kind == "rank_deficient":
+        B = B[: max(1, n // 2)]
+        y = y[: B.shape[0]]
+    elif kind == "duplicated" and n > 1:
+        B[:, rng.integers(1, n)] = B[:, 0]
+    elif kind == "near_collinear" and n > 1:
+        B[:, -1] = B[:, 0] + 1e-4 * rng.normal(size=rows)
+    elif kind == "zero_gram":
+        return SimplexLSProblem(np.zeros((n, n)), rng.normal(size=n))
+    elif kind == "off_range":
+        B = np.round(B[: int(rng.integers(1, n + 1))])
+        return SimplexLSProblem(B.T @ B, np.round(2.0 * rng.normal(size=n)))
+    return SimplexLSProblem(B.T @ B, B.T @ y)
+
+
+def objective(prob, a):
+    return float(a @ (prob.gram @ a) - 2.0 * (prob.lin @ a))
 
 
 class TestIsotonicProblem:
@@ -271,7 +307,59 @@ class TestSimplexLeastSquares:
         out = simplex_least_squares(SimplexLSProblem(np.zeros((4, 4)), c))
         assert np.array_equal(out.values, [0.0, 1.0, 0.0, 0.0])
 
-    def test_dimension_above_cap_raises(self):
-        prob = SimplexLSProblem(np.eye(17), np.ones(17))
-        with pytest.raises(ValueError, match="exceeds the limit of 16"):
-            simplex_least_squares(prob)
+    def test_flat_face_is_crossed(self):
+        # G = b b' has rank one and c is outside its range, so the face of
+        # all three weights is flat: the objective is linear along it
+        b = np.array([0.0, 1.0, 3.0])
+        prob = SimplexLSProblem(np.outer(b, b), np.array([0.0, 1.0, 5.0]))
+        out = simplex_least_squares(prob).values
+        assert np.allclose(out, [4.0 / 9.0, 0.0, 5.0 / 9.0], atol=1e-15)
+        assert objective(prob, out) == pytest.approx(-25.0 / 9.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [17, 40])
+    def test_no_dimension_cap(self, rng, n):
+        # dimensions the support enumeration refused; the KKT certificate
+        # (gradient least, and equal, on the support) proves optimality
+        wide, narrow = random_psd_problem(rng, n, cols=2 * n), random_psd_problem(rng, n)
+        for prob in (wide[0], narrow[0]):
+            a = simplex_least_squares(prob).values
+            grad = prob.gram @ a - prob.lin
+            scale = max(np.abs(prob.gram).max(), np.abs(prob.lin).max())
+            assert np.all(grad[a > 0.0] - grad.min() <= 1e-10 * scale)
+        eye = simplex_least_squares(SimplexLSProblem(np.eye(n), np.ones(n))).values
+        assert np.allclose(eye, 1.0 / n, atol=1e-15)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        kind=st.sampled_from(PROBLEM_KINDS),
+    )
+    @settings(max_examples=80)
+    def test_matches_enumeration_oracle(self, seed, n, kind):
+        # agreement in objective: with singular G the minimizer need not be
+        # unique, but its objective is
+        prob = problem_of_kind(np.random.default_rng(seed), kind, n)
+        ours = simplex_least_squares(prob).values
+        best = simplex_ls_oracle(prob.gram, prob.lin)
+        scale = max(np.abs(prob.gram).max(), np.abs(prob.lin).max())
+        assert ours.min() >= 0.0 and ours.sum() == pytest.approx(1.0, abs=1e-12)
+        assert abs(objective(prob, ours) - objective(prob, best)) <= 1e-12 * scale
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        kind=st.sampled_from(PROBLEM_KINDS),
+    )
+    def test_answer_does_not_depend_on_start(self, seed, n, kind):
+        # every support as a start, plus the answer itself and no support
+        prob = problem_of_kind(np.random.default_rng(seed), kind, n)
+        cold = simplex_least_squares(prob).values
+        masks = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        for start in [*masks.astype(float), cold]:
+            warm = simplex_least_squares(prob, start).values
+            assert warm.tobytes() == cold.tobytes()
+
+    def test_start_must_match_dimension(self):
+        prob = SimplexLSProblem(np.eye(3), np.ones(3))
+        with pytest.raises(ValueError, match="one weight per column"):
+            simplex_least_squares(prob, np.ones(2))
