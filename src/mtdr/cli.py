@@ -449,7 +449,10 @@ def _parse_domain(text: str) -> Domain:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError("domain must be numeric") from None
-    return Domain(lo, hi)
+    try:
+        return Domain(lo, hi)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _parse_count(least: int):

@@ -291,7 +291,6 @@ class _Objective:
         self.knots = [T.knots()[1] for T in maps]
         self.B = np.stack([op(z) for op, z in zip(self.ops, self.knots)])
         self.free = weights is None
-        self.alpha = None  # the first weight step starts cold
         self.alpha = self.weight_step() if self.free else weights.values.copy()
 
     @classmethod
@@ -318,15 +317,10 @@ class _Objective:
         return float(self.scale * np.dot(resid, resid))
 
     def weight_step(self) -> np.ndarray:
-        """The weights that minimize the risk for the current maps.
-
-        The solver starts from the current weights, which saves it work but
-        does not change its answer.
-        """
+        """The weights that minimize the risk for the current maps."""
         gram = (self.B @ self.B.T) * self.scale
         lin = (self.B @ self.resp) * self.scale
-        prob = SimplexLSProblem(0.5 * (gram + gram.T), lin)
-        return simplex_least_squares(prob, self.alpha).values
+        return simplex_least_squares(SimplexLSProblem(gram, lin)).values
 
     def updatable(self, k: int) -> bool:
         """Whether map k takes map updates.

@@ -26,8 +26,9 @@ __all__ = [
 CLAMP_REL = 1e-9
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=float)
+def _readonly(a) -> np.ndarray:
+    """A read-only float copy of a, so no caller's array aliases it."""
+    out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
 

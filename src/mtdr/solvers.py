@@ -4,10 +4,9 @@ Map updates reduce to weighted isotonic regression with box constraints,
 solved exactly by pool-adjacent-violators over a stack of blocks, then
 clipping.  Weight updates are least squares over the probability simplex
 in p + 1 unknowns, solved exactly by a primal active set on one
-stationarity (KKT) system (Lawson & Hanson 1974), with no cap on p.  A
-warm start from the current weights costs one small solve and a
-certificate check when the support has not changed, and never changes
-the answer.
+stationarity (KKT) system (Lawson & Hanson 1974), with no cap on p.  It
+starts at the centre of the simplex, so when every weight of the
+minimizer is positive it ends after one small solve.
 """
 
 from __future__ import annotations
@@ -188,14 +187,12 @@ class SimplexWeights:
 
 
 # Rounding-level tolerance of simplex_least_squares, relative to the scale
-# of G and c: for its optimality test and for telling flat faces.  A start
-# must clear the wider _START_MARGIN, so that near ties go to the method.
+# of G and c: for its optimality test and for telling flat faces.
 _TOL = 1e-12
-_START_MARGIN = 1e-9
 
 
-def _face(G: np.ndarray, c: np.ndarray, support: list):
-    """The weights solving a support's stationarity system; None if singular.
+def _face(G: np.ndarray, c: np.ndarray, support: list) -> np.ndarray:
+    """The weights solving a support's stationarity system.
 
     The system's rows are the support's in ascending order, then the border.
     """
@@ -205,17 +202,25 @@ def _face(G: np.ndarray, c: np.ndarray, support: list):
     kkt[k, k] = 0.0
     rhs = np.ones(k + 1)
     rhs[:k] = 2.0 * c.take(support)
-    try:
-        z = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
+    z = np.linalg.solve(kkt, rhs)
+    if not np.isfinite(z).all():
+        raise ValueError("simplex least squares overflowed")
+    return z[:k]
+
+
+def _flat(G: np.ndarray, support: list, tol: float):
+    """A direction of a support's face along which G does not curve, else None.
+
+    Its entries follow the support's order and sum to zero.  Curvature is
+    measured in the basis e_i - e_first of the face's directions.
+    """
+    if len(support) < 2:
         return None
-    return z[:k] if np.isfinite(z).all() else None
-
-
-def _across(G: np.ndarray, support: list) -> np.ndarray:
-    """G across a support's face, in the basis e_i - e_first of its directions."""
     Gs = G.take(support, 0).take(support, 1)
-    return Gs[1:, 1:] - Gs[1:, :1] - Gs[:1, 1:] + Gs[0, 0]
+    curv, dirs = np.linalg.eigh(Gs[1:, 1:] - Gs[1:, :1] - Gs[:1, 1:] + Gs[0, 0])
+    if curv[0] > tol:
+        return None
+    return np.concatenate(([-dirs[:, 0].sum()], dirs[:, 0]))
 
 
 def _point(n: int, support: list, z: np.ndarray) -> np.ndarray:
@@ -225,36 +230,7 @@ def _point(n: int, support: list, z: np.ndarray) -> np.ndarray:
     return a / a.sum()
 
 
-def _reduced(G: np.ndarray, c: np.ndarray, a: np.ndarray, support: list) -> np.ndarray:
-    """Reduced gradients g_j - a'g at a, g = G a - c; inf on the support."""
-    g = G @ a - c
-    red = g - a @ g
-    red[support] = np.inf
-    return red
-
-
-def _started(prob: SimplexLSProblem, support: list):
-    """The point of support if it certifiably is the unique minimizer, else None.
-
-    Positive weights, positive curvature of G across the face and positive
-    reduced gradients off it make the point the only minimizer, so the
-    active set ends there too.
-    """
-    G, c, margin = prob.gram, prob.lin, _START_MARGIN * prob._scale
-    z = _face(G, c, support)
-    if z is None or z.min() <= _START_MARGIN:
-        return None
-    # the curvature across any face is at least the least eigenvalue of G
-    if prob._least_eig <= margin:
-        if np.linalg.eigvalsh(_across(G, support)).min(initial=np.inf) <= margin:
-            return None
-    a = _point(c.size, support, z)
-    if _reduced(G, c, a, support).min() <= margin:
-        return None
-    return a
-
-
-def simplex_least_squares(prob: SimplexLSProblem, start=None) -> SimplexWeights:
+def simplex_least_squares(prob: SimplexLSProblem) -> SimplexWeights:
     """Minimize a' G a - 2 c' a over the simplex by a primal active set.
 
     A support is a set of weights allowed to be nonzero.  Its face weights
@@ -266,57 +242,40 @@ def simplex_least_squares(prob: SimplexLSProblem, start=None) -> SimplexWeights:
 
     and its point is those weights clipped at zero and renormalized onto
     the simplex.  With g = G a - c, a point is optimal exactly when every
-    reduced gradient g_j - a'g is nonnegative.  From the best vertex, the
-    method adds the index of least reduced gradient and moves toward the
-    new face weights, dropping each weight that reaches zero on the way,
+    reduced gradient g_j - a'g is nonnegative.  From the centre of the
+    simplex, every weight 1 / n on the full support, the method moves
+    toward the face weights, dropping each weight that reaches zero on the
+    way, then adds the index of least reduced gradient and moves again,
     until no reduced gradient is below -1e-12 times the scale of G and c;
-    ties go to the lowest index.  Where a support's subsystem is singular
-    (collinear or duplicated columns, a zero G), the objective is linear
-    along the subsystem's null direction, and the step follows it downhill
-    to the boundary instead.  Each added index lowers the objective, so
-    supports do not repeat and the method is finite; a repeat, which only
-    rounding can cause, ends it.  There is no dimension cap.
-
-    start (weights, such as the solution of a nearby problem) warm-starts
-    the method: its support's point is returned when its weights, the
-    curvature across its face and its reduced gradients off it exceed 1e-9
-    (times the scale for the last two).  That point is then the unique
-    minimizer, where the method ends as well, and otherwise the method
-    runs from its vertex; either way the answer does not depend on start.
+    ties go to the lowest index.  When every weight of the minimizer is
+    positive, that is one solve.  Where a face is flat (collinear or
+    duplicated columns, a zero G), the objective is linear along it, and
+    the step follows it downhill to the boundary instead, toward the
+    support's lowest index when level.  Only a G whose least eigenvalue is
+    at most that tolerance has flat faces.  Each added index lowers the
+    objective, so supports do not repeat and the method is finite; a
+    repeat, which only rounding can cause, ends it.  There is no dimension
+    cap.
     """
-    if start is not None:
-        start = np.asarray(start)
-        if start.shape != prob.lin.shape:
-            raise ValueError("start must hold one weight per column of gram")
-        a = _started(prob, np.flatnonzero(start > 0.0).tolist())
-        if a is not None:
-            return SimplexWeights(a)
     G, c, tol = prob.gram, prob.lin, _TOL * prob._scale
     n = c.size
-    support = [int(np.argmin(np.diag(G) - 2.0 * c))]
-    a = _point(n, support, np.ones(1))
+    support = list(range(n))
+    a = np.full(n, 1.0 / n)
     seen = set()
     while True:
-        red = _reduced(G, c, a, support)
-        j = int(np.argmin(red))
-        if red[j] >= -tol or tuple(support) in seen:
-            return SimplexWeights(a)
-        seen.add(tuple(support))
-        support = sorted(support + [j])
         while True:
             a_s = a[support]
-            curv, dirs = np.linalg.eigh(_across(G, support))
-            flat = curv.size > 0 and curv[0] <= tol
-            z = None if flat else _face(G, c, support)
-            if z is not None and z.min() >= 0.0:
-                a = _point(n, support, z)
-                break
-            if z is None:  # flat: the objective is linear along dirs[:, 0]
-                d = np.concatenate(([-dirs[:, 0].sum()], dirs[:, 0]))
-                if (G @ a - c)[support] @ d > 0.0:
+            d = _flat(G, support, tol) if prob._least_eig <= tol else None
+            if d is None:
+                z = _face(G, c, support)
+                if z.min() >= 0.0:
+                    a = _point(n, support, z)
+                    break
+                d = z - a_s  # z has a negative weight: one reaches zero first
+            else:  # flat: the objective is linear along d
+                slope = (G @ a - c)[support] @ d
+                if slope > 0.0 or (slope == 0.0 and d[0] < 0.0):
                     d = -d
-            else:  # z has a negative weight, so some weight reaches zero first
-                d = z - a_s
             falling = np.flatnonzero(d < 0.0)
             ratios = a_s[falling] / -d[falling]
             k = int(np.argmin(ratios))
@@ -325,3 +284,11 @@ def simplex_least_squares(prob: SimplexLSProblem, start=None) -> SimplexWeights:
             a = np.zeros(n)
             a[support] = a_s
             support = [i for i in support if a[i] > 0.0]
+        g = G @ a - c
+        red = g - a @ g
+        red[support] = np.inf
+        j = int(np.argmin(red))
+        if red[j] >= -tol or tuple(support) in seen:
+            return SimplexWeights(a)
+        seen.add(tuple(support))
+        support = sorted(support + [j])

@@ -756,6 +756,20 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "domain, message",
+        [
+            ("1,0", "domain requires lo < hi"),
+            ("nan,1", "domain endpoints must be finite"),
+            ("0,inf", "domain endpoints must be finite"),
+        ],
+    )
+    def test_invalid_domain_names_the_problem(self, capsys, domain, message):
+        argv = ["fit", "--data", "x.csv", "--p", "1", "--domain", domain]
+        code = cli([*argv, "--out", "m.json"])
+        assert code == 2
+        assert f"argument --domain: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["fit", "loocv"])
     def test_negative_p_is_usage_error(self, tmp_path, capsys, command):
         data = tmp_path / "d.csv"

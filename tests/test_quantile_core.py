@@ -14,6 +14,9 @@ from mtdr.quantile_core import (
     quantile_from_samples,
     wasserstein_distance,
 )
+from mtdr.fitting import FitReport
+from mtdr.monotone_map import MonotoneMap, NodeGrid
+from mtdr.solvers import IsotonicProblem, SimplexLSProblem, SimplexWeights
 
 UNIT = Domain(0.0, 1.0)
 
@@ -80,6 +83,30 @@ class TestQuantileGrid:
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError, match="inside the domain"):
             QuantileGrid(UNIT, ProbGrid.midpoint(3), np.array([0.1, 0.5, 1.5]))
+
+
+@pytest.mark.parametrize(
+    "build, field, values",
+    [
+        (lambda v: QuantileGrid(UNIT, ProbGrid(2), v), "values", [0.1, 0.5]),
+        (lambda v: MonotoneMap(NodeGrid(UNIT, 2), v), "values", [0.2, 0.6]),
+        (SimplexWeights, "values", [0.25, 0.75]),
+        (lambda v: FitReport(v, True), "trajectory", [1.0, 0.5]),
+        (lambda v: IsotonicProblem(v, np.ones(2), 0.0, 1.0), "targets", [0.3, 0.1]),
+        (lambda v: SimplexLSProblem(np.eye(2), v), "lin", [0.3, 0.1]),
+    ],
+    ids=["QuantileGrid", "MonotoneMap", "SimplexWeights", "FitReport",
+         "IsotonicProblem", "SimplexLSProblem"],
+)  # fmt: skip
+def test_value_objects_own_their_arrays(build, field, values):
+    # built from a row of a writable array, an object neither freezes the
+    # row nor follows later writes to it
+    base = np.array([values])
+    row = base[0]
+    obj = build(row)
+    base[0, 0] = 7.0
+    assert getattr(obj, field).tolist() == values
+    assert row.flags.writeable and not getattr(obj, field).flags.writeable
 
 
 class TestGuardMonotone:
