@@ -7,7 +7,9 @@ Usage, with mtdr importable from the source tree to snapshot:
 The script runs a fixed list of ``mtdr`` command lines in this process
 through ``mtdr.cli.cli``.  Its inputs, written to OUT/inputs, are the
 mortality-like file that scripts/make_mortality_like.py writes by default
-(34 subjects, 500 samples per variable, domain 0,100), a reference JSON
+(34 subjects, 500 samples per variable, domain 0,100), the same file with
+every sample rounded to a multiple of 5 (ages in 5-year bands, fitted at
+t = 300, where the Frechet reference has flat stretches), a reference JSON
 and two model and reference files that lack a field.  Each command line
 runs in its own directory OUT/<case>, which ends up holding the files the
 command wrote plus ``argv``, ``exit`` (the exit code), ``stdout`` and
@@ -19,7 +21,7 @@ byte-identical: compare two source trees with
     PYTHONPATH=b/src python scripts/cli_snapshot.py snap_b
     diff -r snap_a snap_b
 
-Sizes are small: the whole snapshot takes about 20 s in one process on a
+Sizes are small: the whole snapshot takes about 12 s in one process on a
 two-core machine.  OUT must not exist yet, or be empty.
 """
 
@@ -28,6 +30,8 @@ import io
 import json
 import os
 import sys
+
+import numpy as np
 
 os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
 
@@ -39,9 +43,14 @@ DATA = "../inputs/mortality_like.csv"
 FIT_T = "100"
 
 
-def _fit_args(reference: str) -> list:
-    return ["--data", DATA, "--p", "2", "--domain", "0,100", "--t", FIT_T,
+def _fit_args(reference: str, data: str = DATA, t: str = FIT_T) -> list:
+    return ["--data", data, "--p", "2", "--domain", "0,100", "--t", t,
             "--reference", reference]  # fmt: skip
+
+
+# the binned file's Frechet reference over all 34 subjects has 26 zero
+# quantile steps at t = 300 and none at t = 100
+BINNED_ARGS = _fit_args("frechet", "../inputs/mortality_like_binned.csv", "300")
 
 
 def _simulate(scenario: str, alpha: str, *noise: str) -> list:
@@ -66,6 +75,8 @@ CASES = [
                            "--out", "model.json"]),
     ("loocv_uniform", ["loocv", *_fit_args("uniform"), "--out", "report.json"]),
     ("loocv_frechet", ["loocv", *_fit_args("frechet"), "--out", "report.json"]),
+    ("fit_frechet_binned", ["fit", *BINNED_ARGS, "--out", "model.json"]),
+    ("loocv_frechet_binned", ["loocv", *BINNED_ARGS, "--out", "report.json"]),
     ("predict", ["predict", "--model", MODEL, "--data", DATA, "--out", "predictions.csv"]),
     ("evaluate_rmse", ["evaluate", "--model", MODEL, "--data", DATA, "--metric", "rmse",
                        "--out", "score.json"]),
@@ -102,9 +113,11 @@ CASES = [
 
 
 def _write_inputs(inputs: str) -> None:
-    """The mortality-like file, a reference and two files lacking a field."""
+    """Both mortality-like files, a reference and two files lacking a field."""
     pred, resp = mortality_like_samples(domain=Domain(0.0, 100.0))
     write_long_csv(os.path.join(inputs, "mortality_like.csv"), pred, resp)
+    write_long_csv(os.path.join(inputs, "mortality_like_binned.csv"),
+                   5.0 * np.round(pred / 5.0), 5.0 * np.round(resp / 5.0))  # fmt: skip
     t = int(FIT_T)
     docs = {
         "reference.json": {"quantiles": [100.0 * ((r + 0.5) / t) ** 1.5 for r in range(t)]},

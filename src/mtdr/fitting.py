@@ -482,8 +482,6 @@ def fit(
     """
     if data.p != p:
         raise ValueError("dataset predictor count does not match p")
-    if np.any(np.diff(reference.values) <= 0.0):
-        raise ValueError("reference must have strictly increasing quantiles")
     if fixed_weights is not None and fixed_weights.size != p + 1:
         raise ValueError("fixed weights must have length p + 1")
 

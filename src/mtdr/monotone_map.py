@@ -29,8 +29,9 @@ class NodeGrid:
 
     edges has t + 1 entries from domain.lo to domain.hi, and node r is the
     midpoint of [edges[r], edges[r+1]], so every node is strictly interior
-    and evaluation can pin the endpoints by augmentation.  A grid is its
-    domain and size: two grids are equal when both are.
+    and evaluation can pin the endpoints by augmentation; it divides by the
+    gaps of the knots lo, nodes..., hi, so each float knot must exceed the
+    last.  A grid is its domain and size: two grids are equal when both are.
     """
 
     domain: Domain
@@ -39,6 +40,9 @@ class NodeGrid:
     def __post_init__(self):
         if self.t < 2:
             raise ValueError("node grid size must be at least 2")
+        x = np.concatenate(([self.domain.lo], self.nodes, [self.domain.hi]))
+        if not np.all(x[1:] > x[:-1]):
+            raise ValueError(f"domain [{x[0]}, {x[-1]}] cannot hold {self.t} distinct nodes")
 
     @classmethod
     def uniform(cls, domain: Domain, t: int) -> "NodeGrid":

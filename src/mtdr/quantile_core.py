@@ -56,7 +56,7 @@ class Domain:
 
     def check_inside(self, x: np.ndarray, what: str = "value") -> None:
         x = np.asarray(x, dtype=float)
-        if x.size and (x.min() < self.lo or x.max() > self.hi):
+        if x.size and not (self.lo <= x.min() and x.max() <= self.hi):
             raise ValueError(
                 f"{what} outside domain [{self.lo}, {self.hi}]"
             )
@@ -65,7 +65,7 @@ class Domain:
         """Clip x into [lo, hi], allowing only a 1e-9-relative overshoot."""
         x = np.asarray(x, dtype=float)
         band = CLAMP_REL * self.width
-        if x.size and (x.min() < self.lo - band or x.max() > self.hi + band):
+        if x.size and not (self.lo - band <= x.min() and x.max() <= self.hi + band):
             raise ValueError(
                 f"{what} outside domain [{self.lo}, {self.hi}] beyond clamp band"
             )
@@ -218,7 +218,7 @@ def frechet_mean(measures, weights) -> QuantileGrid:
     lam = np.asarray(weights, dtype=float)
     if lam.shape != (len(measures),):
         raise ValueError("one weight per measure required")
-    if np.any(lam < 0.0) or abs(lam.sum() - 1.0) > 1e-12:
+    if not (np.all(lam >= 0.0) and abs(lam.sum() - 1.0) <= 1e-12):
         raise ValueError("weights must be nonnegative and sum to one")
     first = measures[0]
     for m in measures[1:]:

@@ -69,7 +69,7 @@ def sine_warp(order: int, x):
     if k != order:
         raise ValueError("warp order must be an integer")
     arr = np.asarray(x, dtype=float)
-    if arr.size and (arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9):
+    if arr.size and not (-1e-9 <= arr.min() and arr.max() <= 1.0 + 1e-9):
         raise ValueError("warp argument outside [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
     if k == 0:

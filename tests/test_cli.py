@@ -29,6 +29,7 @@ from mtdr.quantile_core import (
 )
 from mtdr.simulation import (
     generate_dataset,
+    mortality_like_samples,
     multi_predictor_scenario,
     single_predictor_scenario,
 )
@@ -710,6 +711,25 @@ class TestCliLoocv:
         assert code == 0
         assert all(f["converged"] for f in json.loads(out.read_text())["folds"])
 
+    def test_frechet_reference_of_binned_data(self, tmp_path):
+        # ages recorded in 5-year bands, as in abridged life tables: the
+        # Frechet reference then has flat stretches, and fits as any other
+        pred, resp = mortality_like_samples(n=34, m=500, seed=7)
+        data = tmp_path / "binned.csv"
+        write_long_csv(data, 5.0 * np.round(pred / 5.0), 5.0 * np.round(resp / 5.0))
+        reports = {}
+        for reference in ("uniform", "frechet"):
+            out = tmp_path / f"loocv_{reference}.json"
+            code = cli(
+                ["loocv", "--data", str(data), "--p", "2", "--domain", "0,100",
+                 "--t", "300", "--reference", reference, "--out", str(out)]
+            )  # fmt: skip
+            assert code == 0
+            reports[reference] = json.loads(out.read_text())
+        assert all(f["converged"] for f in reports["frechet"]["folds"])
+        # criterion 10's window between the two references
+        assert abs(reports["uniform"]["awd"] - reports["frechet"]["awd"]) < 5e-3
+
     def test_needs_two_subjects(self, tmp_path, capsys):
         data = tmp_path / "solo.csv"
         sample_csv(data, n=1, m=6, seed=42)
@@ -1012,6 +1032,32 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "error: row 2: field larger than field limit (131072)\n"
+
+    def test_domain_without_distinct_nodes_is_runtime_error(self, tmp_path, capsys):
+        # the 102 knots of t = 100 on [1e16, 1e16 + 64] hold 33 distinct floats
+        lo, hi = 1e16, 1.0000000000000064e16
+        pred, resp = small_samples(n=4, m=10, seed=43)
+        data = tmp_path / "train.csv"
+        write_long_csv(data, lo + (hi - lo) * pred, lo + (hi - lo) * resp)
+        model_path = tmp_path / "model.json"
+        save_model(str(model_path), identity_model(t=100))
+        doc = json.loads(model_path.read_text())
+        doc["domain"] = {"s0": lo, "s1": hi}
+        ref = doc["reference_quantiles"]
+        doc["reference_quantiles"] = [lo + (hi - lo) * v for v in ref]
+        doc["maps"] = [[lo + (hi - lo) * v for v in z] for z in doc["maps"]]
+        model_path.write_text(json.dumps(doc))
+        message = f"error: domain [{lo}, {hi}] cannot hold 100 distinct nodes\n"
+        for argv in (
+            ["fit", "--data", str(data), "--p", "1", "--domain", f"{lo!r},{hi!r}",
+             "--t", "100", "--out", str(tmp_path / "fitted.json")],
+            ["predict", "--model", str(model_path), "--data", str(data),
+             "--out", str(tmp_path / "predictions.csv")],
+        ):  # fmt: skip
+            assert cli(argv) == 1
+            assert capsys.readouterr().err == message
+        assert not (tmp_path / "fitted.json").exists()
+        assert not (tmp_path / "predictions.csv").exists()
 
     def test_python_dash_m_runs_without_warnings(self):
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))

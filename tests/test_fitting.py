@@ -495,9 +495,14 @@ class TestFit:
         bad = random_measure(rng, 49)
         with pytest.raises(ValueError, match="share the data domain"):
             fit(gen.train, 1, bad)
+        # a reference may have atoms, as a predictor may: a point mass fits
         flat = QuantileGrid(UNIT, ProbGrid.midpoint(50), np.full(50, 0.5))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            fit(gen.train, 1, flat)
+        model, report = fit(gen.train, 1, flat)
+        assert report.converged and model.reference is flat
+        assert_descends(report)
+        for subject in gen.train.subjects:
+            # a QuantileGrid is finite, nondecreasing and inside the domain
+            assert isinstance(predict(model, subject.predictors), QuantileGrid)
 
     def test_rejects_mismatched_p(self):
         gen = noiseless_exact_data(n=10, t=50, seed=2)

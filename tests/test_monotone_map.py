@@ -41,6 +41,16 @@ class TestNodeGrid:
         with pytest.raises(ValueError, match="at least 2"):
             NodeGrid(UNIT, 0)
 
+    @pytest.mark.parametrize(
+        "domain",
+        # at t = 100 the knots lo, nodes..., hi hold 33 and 41 distinct floats
+        [Domain(1e16, 1e16 + 64), Domain(0.0, 2e-322)],
+        ids=["far_from_zero", "subnormal"],
+    )
+    def test_rejects_domains_without_distinct_knots(self, domain):
+        with pytest.raises(ValueError, match="cannot hold 100 distinct nodes"):
+            NodeGrid(domain, 100)
+
     def test_matches(self):
         assert NodeGrid.uniform(UNIT, 6) == NodeGrid(UNIT, 6)
         assert NodeGrid.uniform(UNIT, 6) != NodeGrid.uniform(UNIT, 7)
@@ -77,6 +87,9 @@ class TestMonotoneMap:
             MonotoneMap(grid, np.array([0.5, 0.2, 0.8]))
         with pytest.raises(ValueError, match="inside the domain"):
             MonotoneMap(grid, np.array([0.1, 0.5, 1.4]))
+        for x in (1.5, np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="map argument outside domain"):
+                MonotoneMap.identity(grid)(x)
 
     @given(seed=st.integers(0, 2**32 - 1))
     def test_eval_is_monotone(self, seed):

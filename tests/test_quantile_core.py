@@ -50,6 +50,8 @@ class TestDomain:
         assert out[0] == 0.0 and out[-1] == 1.0
         with pytest.raises(ValueError):
             d.clamp(np.array([-1e-3]))
+        with pytest.raises(ValueError, match="beyond clamp band"):
+            d.clamp(np.array([np.nan, 0.5]))
 
 
 class TestProbGrid:
@@ -209,6 +211,8 @@ class TestFrechetMean:
         mu = random_quantile_grid(rng)
         with pytest.raises(ValueError, match="sum to one"):
             frechet_mean([mu, mu], [0.5, 0.6])
+        with pytest.raises(ValueError, match="nonnegative and sum to one"):
+            frechet_mean([mu, mu], [np.nan, np.nan])
         with pytest.raises(ValueError, match="empty measure list"):
             frechet_mean([], [])
 

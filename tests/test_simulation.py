@@ -53,6 +53,8 @@ class TestSineWarp:
             sine_warp(1.5, 0.3)
         with pytest.raises(ValueError, match="outside"):
             sine_warp(2, 1.2)
+        with pytest.raises(ValueError, match="outside"):
+            sine_warp(2, np.nan)
 
 
 class TestNoiseSpec:
