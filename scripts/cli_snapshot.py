@@ -91,6 +91,9 @@ CASES = [
     ("usage_unknown_flag", ["fit", "--bogus", "1"]),
     ("usage_bad_domain", ["fit", "--data", DATA, "--p", "2", "--domain", "zero,one",
                           "--out", "model.json"]),
+    # "--domain=" because the value starts with "-"
+    ("usage_domain_infinite_width", ["fit", "--data", DATA, "--p", "2",
+                                     "--domain=-1e308,1e308", "--out", "model.json"]),
     ("usage_bad_alpha", ["simulate", "--scenario", "single", "--alpha", "half",
                          "--out", "."]),
     # runtime errors: exit code 1

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monotone_map import MonotoneMap, NodeGrid
+from .monotone_map import MonotoneMap, NodeGrid, _Interp
 from .quantile_core import (
     Domain,
     ProbGrid,
@@ -220,37 +220,7 @@ class MtdrModel:
         return self.maps[0].grid
 
 
-# -- the interpolation operator and the objective -------------------------
-
-
-class _Interp:
-    """Reading a map at fixed points, as a linear operator on its knots.
-
-    A map's value at a point q is linear in its knot values z_ext =
-    (lo, z, hi): with q in knot segment s at fraction f, it is
-    z_ext[s] + f (z_ext[s+1] - z_ext[s]).  One searchsorted fixes s and f
-    for a whole quantile stack.  The adjoint is two bincounts, and mass,
-    the adjoint applied to ones and restricted to the nodes, is the
-    interpolation weight each node carries.
-    """
-
-    def __init__(self, x_ext: np.ndarray, points: np.ndarray):
-        q = np.ravel(points)
-        self.size = x_ext.size
-        self.s = np.clip(np.searchsorted(x_ext, q, side="right") - 1, 0, self.size - 2)
-        self.s1 = self.s + 1
-        self.f = (q - x_ext[self.s]) / (x_ext[self.s1] - x_ext[self.s])
-        self.mass = self.adjoint(np.ones(q.size))[1:-1]
-
-    def __call__(self, z_ext: np.ndarray) -> np.ndarray:
-        base = z_ext[self.s]
-        return base + self.f * (z_ext[self.s1] - base)
-
-    def adjoint(self, v: np.ndarray) -> np.ndarray:
-        fv = self.f * v
-        return np.bincount(self.s, v - fv, minlength=self.size) + np.bincount(
-            self.s1, fv, minlength=self.size
-        )
+# -- the objective ---------------------------------------------------------
 
 
 # weights below this floor freeze their map: its majorize-minimize step
@@ -265,11 +235,12 @@ class _Objective:
     it keeps: one interpolation operator per quantile stack (ops[0] reads
     the reference at every subject, ops[j] the j-th predictors), the
     response stack, and the scale step / n that makes scale * |r|^2 the
-    risk of a residual r.  The iterate is each map's knots, B (map k read
-    through ops[k], one row per map) and the weights alpha; its prediction
-    is alpha @ B.  Weights not given start at the exact weight step and are
-    free; given weights stay fixed.  The solvers are called by their names
-    in this module, which perfbench/tracing.py wraps while it traces.
+    risk of a residual r.  It keeps the iterate theta: node values map by
+    map, then the weights, with maps (one row per map) and alpha as views.
+    Row k of B is map k read through ops[k]; the prediction is alpha @ B.
+    Weights not given start at the exact weight step and are free; given
+    weights stay fixed.  The solvers are called by their names in this
+    module, which perfbench/tracing.py wraps while it traces.
     """
 
     def __init__(self, data: DataSet, reference: QuantileGrid, maps, weights=None):
@@ -280,7 +251,7 @@ class _Objective:
             np.stack([s.predictors[j].values for s in data.subjects])
             for j in range(data.p)
         ]
-        self.ops = [_Interp(maps[0].knots()[0], Q) for Q in stacks]
+        self.ops = [_Interp(maps[0].grid, Q) for Q in stacks]
         self._resp = (
             np.concatenate([s.response.values for s in data.subjects])
             if data.has_responses
@@ -288,10 +259,12 @@ class _Objective:
         )
         self.scale = data.prob_grid.step / n
         self.lo, self.hi, self.t = data.domain.lo, data.domain.hi, maps[0].grid.size
-        self.knots = [T.knots()[1] for T in maps]
-        self.B = np.stack([op(z) for op, z in zip(self.ops, self.knots)])
+        self.theta = np.concatenate([T.values for T in maps] + [np.zeros(len(maps))])
+        cut = len(maps) * self.t
+        self.maps, self.alpha = self.theta[:cut].reshape(len(maps), self.t), self.theta[cut:]
+        self.B = np.stack([op(z) for op, z in zip(self.ops, self.maps)])
         self.free = weights is None
-        self.alpha = self.weight_step() if self.free else weights.values.copy()
+        self.alpha[:] = self.weight_step() if self.free else weights.values
 
     @classmethod
     def of(cls, model: MtdrModel, data: DataSet) -> "_Objective":
@@ -334,12 +307,12 @@ class _Objective:
         """map_update_problem for map k, at the iterate with residual resid."""
         op, mass = self.ops[k], self.ops[k].mass
         step = np.divide(
-            op.adjoint(resid)[1:-1],
+            op.adjoint(resid),
             self.alpha[k] * mass,
             out=np.zeros_like(mass),
             where=mass > 0.0,
         )
-        return IsotonicProblem(self.knots[k][1:-1] - step, mass, self.lo, self.hi)
+        return IsotonicProblem(self.maps[k] - step, mass, self.lo, self.hi)
 
     def sweep(self, resid: np.ndarray) -> np.ndarray:
         """One ordinary sweep from the iterate with residual resid.
@@ -347,40 +320,33 @@ class _Objective:
         Updates resid in place while the maps move, and returns the residual
         of the new iterate.
         """
-        for k, (op, z) in enumerate(zip(self.ops, self.knots)):
+        for k, (op, z) in enumerate(zip(self.ops, self.maps)):
             if not self.updatable(k):
                 continue
-            z[1:-1] = weighted_isotonic(self.map_step(k, resid))
+            z[:] = weighted_isotonic(self.map_step(k, resid))
             moved = op(z)
             resid += self.alpha[k] * (moved - self.B[k])
             self.B[k] = moved
         if self.free:
-            self.alpha = self.weight_step()
+            self.alpha[:] = self.weight_step()
         return self.residual()
-
-    def pack(self) -> np.ndarray:
-        """The iterate as one vector theta: node values map by map, then alpha."""
-        return np.concatenate([z[1:-1] for z in self.knots] + [self.alpha])
 
     def load(self, theta: np.ndarray) -> np.ndarray:
         """Make theta the iterate and return its residual."""
-        t = self.t
-        for k, (op, z) in enumerate(zip(self.ops, self.knots)):
-            z[1:-1] = theta[k * t : (k + 1) * t]
-            self.B[k] = op(z)
-        self.alpha = theta[len(self.ops) * t :].copy()
+        self.theta[:] = theta
+        for op, z, row in zip(self.ops, self.maps, self.B):
+            row[:] = op(z)
         return self.residual()
 
     def project(self, jump: np.ndarray, theta2: np.ndarray) -> np.ndarray:
         """The extrapolated iterate made feasible; frozen maps keep theta2."""
-        t, out = self.t, theta2.copy()
-        for k in range(len(self.ops)):
+        out, cut, shape = theta2.copy(), self.maps.size, self.maps.shape
+        maps, ones = out[:cut].reshape(shape), np.ones(self.t)
+        for k, z in enumerate(jump[:cut].reshape(shape)):
             if self.updatable(k):
-                seg = slice(k * t, (k + 1) * t)
-                box = IsotonicProblem(jump[seg], np.ones(t), self.lo, self.hi)
-                out[seg] = weighted_isotonic(box)
+                maps[k] = weighted_isotonic(IsotonicProblem(z, ones, self.lo, self.hi))
         if self.free:
-            out[len(self.ops) * t :] = simplex_project(jump[len(self.ops) * t :])
+            out[cut:] = simplex_project(jump[cut:])
         return out
 
 
@@ -488,10 +454,10 @@ def fit(
     node_grid = NodeGrid.uniform(data.domain, data.prob_grid.size)
     identity = (MonotoneMap.identity(node_grid),) * (p + 1)
     obj = _Objective(data, reference, identity, fixed_weights)
-    # the objective holds the live iterate; cycle states are packed vectors
+    # the objective holds the live iterate; cycle states are copies of it
     resid = obj.residual()
     trajectory = [obj.risk(resid)]
-    cycle = [obj.pack()]
+    cycle = [obj.theta.copy()]
     step_max = 1.0
     converged = False
     while not converged and len(trajectory) <= cfg.max_outer_iter:
@@ -502,7 +468,7 @@ def fit(
                 obj.load(cycle[-1])
                 converged = True
                 break
-            cycle.append(obj.pack())
+            cycle.append(obj.theta.copy())
         else:
             theta0, theta1, theta2 = cycle
             r = theta1 - theta0
@@ -520,11 +486,11 @@ def fit(
                 continue
             if a == step_max:
                 step_max *= 4.0
-            cycle = [obj.pack()]
+            cycle = [obj.theta.copy()]
         converged = trajectory[-1] - risk <= cfg.rel_tol * trajectory[0]
         trajectory.append(risk)
 
-    maps = tuple(MonotoneMap(node_grid, z[1:-1]) for z in obj.knots)
+    maps = tuple(MonotoneMap(node_grid, z) for z in obj.maps)
     weights = SimplexWeights(simplex_project(obj.alpha)) if obj.free else fixed_weights
     model = MtdrModel(reference, maps, weights)
     return model, FitReport(np.asarray(trajectory), converged)

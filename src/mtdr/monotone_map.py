@@ -3,16 +3,17 @@
 A map is represented by its values on spatial nodes, the midpoints of t equal
 cells of the domain.  Evaluation interpolates the piecewise linear curve
 through (lo, lo), (x_r, z_r), (hi, hi), so every map fixes both endpoints and
-is nondecreasing whenever its node values are.
+is nondecreasing whenever its node values are.  The node grid holds these
+knots lo, nodes..., hi; _Interp reads maps through them at a quantile stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantile_core import Domain, QuantileGrid, _checked, _guard_monotone
+from .quantile_core import Domain, QuantileGrid, _checked, _grid_size, _guard_monotone
 
 __all__ = [
     "NodeGrid",
@@ -29,20 +30,26 @@ class NodeGrid:
 
     edges has t + 1 entries from domain.lo to domain.hi, and node r is the
     midpoint of [edges[r], edges[r+1]], so every node is strictly interior
-    and evaluation can pin the endpoints by augmentation; it divides by the
-    gaps of the knots lo, nodes..., hi, so each float knot must exceed the
-    last.  A grid is its domain and size: two grids are equal when both are.
+    and evaluation can pin the endpoints by augmentation.  knots is the
+    read-only (lo, nodes..., hi), built once; evaluation divides by its
+    gaps, so each float knot must exceed the last.  A grid is its domain
+    and size: two grids are equal when both are, and knots is not compared.
     """
 
     domain: Domain
     t: int
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "t", _grid_size(self.t))
         if self.t < 2:
             raise ValueError("node grid size must be at least 2")
-        x = np.concatenate(([self.domain.lo], self.nodes, [self.domain.hi]))
+        dom, t = self.domain, self.t
+        x = np.concatenate(([dom.lo], dom.lo + dom.width * (np.arange(t) + 0.5) / t, [dom.hi]))
         if not np.all(x[1:] > x[:-1]):
-            raise ValueError(f"domain [{x[0]}, {x[-1]}] cannot hold {self.t} distinct nodes")
+            raise ValueError(f"domain [{x[0]}, {x[-1]}] cannot hold {t} distinct nodes")
+        x.setflags(write=False)
+        object.__setattr__(self, "knots", x)
 
     @classmethod
     def uniform(cls, domain: Domain, t: int) -> "NodeGrid":
@@ -54,8 +61,7 @@ class NodeGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        dom = self.domain
-        return dom.lo + dom.width * (np.arange(self.t) + 0.5) / self.t
+        return self.knots[1:-1]
 
     @property
     def edges(self) -> np.ndarray:
@@ -85,13 +91,6 @@ class MonotoneMap:
     def identity(cls, grid: NodeGrid) -> "MonotoneMap":
         return cls(grid, grid.nodes)
 
-    def knots(self):
-        """Augmented polyline knots pinning both endpoints."""
-        dom = self.grid.domain
-        x_ext = np.concatenate(([dom.lo], self.grid.nodes, [dom.hi]))
-        z_ext = np.concatenate(([dom.lo], self.values, [dom.hi]))
-        return x_ext, z_ext
-
     def __call__(self, x):
         return map_eval(self, x)
 
@@ -99,9 +98,9 @@ class MonotoneMap:
 def map_eval(T: MonotoneMap, x):
     """Evaluate the map at points x inside the domain."""
     x_arr = np.asarray(x, dtype=float)
-    T.grid.domain.check_inside(x_arr, "map argument")
-    x_ext, z_ext = T.knots()
-    out = np.interp(x_arr, x_ext, z_ext)
+    dom = T.grid.domain
+    dom.check_inside(x_arr, "map argument")
+    out = np.interp(x_arr, T.grid.knots, np.concatenate(([dom.lo], T.values, [dom.hi])))
     return float(out) if np.isscalar(x) else out
 
 
@@ -123,3 +122,32 @@ def pushforward(T: MonotoneMap, mu: QuantileGrid) -> QuantileGrid:
         raise ValueError("domain mismatch between map and measure")
     q = map_eval(T, mu.values)
     return QuantileGrid(mu.domain, mu.grid, _guard_monotone(q, mu.domain))
+
+
+class _Interp:
+    """Reading maps on a node grid at fixed points: an affine operator.
+
+    At q in knot segment s at fraction f, node values z read z_ext[s] +
+    f (z_ext[s+1] - z_ext[s]), where z_ext = (lo, z, hi) pins the ends; one
+    searchsorted fixes s and f for a whole quantile stack.  The adjoint of
+    the linear part is two bincounts kept at the nodes, and mass, the
+    adjoint of ones, is the interpolation weight each node carries.
+    """
+
+    def __init__(self, grid: NodeGrid, points: np.ndarray):
+        x, q = grid.knots, np.ravel(points)
+        self.s = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.size - 2)
+        self.s1 = self.s + 1
+        self.f = (q - x[self.s]) / (x[self.s1] - x[self.s])
+        self.ext = x.copy()  # z_ext: the ends stay lo and hi, each call sets the nodes
+        self.mass = self.adjoint(np.ones(q.size))
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        self.ext[1:-1] = z
+        base = self.ext[self.s]
+        return base + self.f * (self.ext[self.s1] - base)
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        fv, size = self.f * v, self.ext.size
+        out = np.bincount(self.s, v - fv, minlength=size)
+        return (out + np.bincount(self.s1, fv, minlength=size))[1:-1]

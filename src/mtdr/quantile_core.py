@@ -8,6 +8,7 @@ vectors and barycenters are weighted averages of quantile functions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ class Domain:
             raise ValueError("domain endpoints must be finite")
         if not self.lo < self.hi:
             raise ValueError("domain requires lo < hi")
+        if not np.isfinite(self.hi - self.lo):
+            raise ValueError("domain width must be finite")
 
     @property
     def width(self) -> float:
@@ -85,6 +88,7 @@ class ProbGrid:
     t: int
 
     def __post_init__(self):
+        object.__setattr__(self, "t", _grid_size(self.t))
         if self.t < 2:
             raise ValueError("grid size must be at least 2")
 
@@ -104,6 +108,14 @@ class ProbGrid:
     def step(self) -> float:
         """Quadrature weight per level, equal to the spacing of the levels."""
         return 1.0 / self.t
+
+
+def _grid_size(t) -> int:
+    """t as an int, else a ValueError: a grid size counts levels or nodes."""
+    try:
+        return operator.index(t)
+    except TypeError:
+        raise ValueError("grid size must be an integer") from None
 
 
 def _check_common_gridding(a: "QuantileGrid", b: "QuantileGrid") -> None:

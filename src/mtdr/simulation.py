@@ -58,6 +58,16 @@ __all__ = [
 ]
 
 
+def _warp_order(order) -> int:
+    """order as an int, else a ValueError: warp orders are integers."""
+    try:
+        if int(order) == order:
+            return int(order)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError("warp order must be an integer")
+
+
 def sine_warp(order: int, x):
     """Endpoint-fixed monotone warp of [0, 1].
 
@@ -65,9 +75,7 @@ def sine_warp(order: int, x):
     nondecreasing with derivative 1 - cos(pi k x) sign-adjusted, fixes 0 and
     1, and deviates from the identity by at most 1 / (|k| pi).
     """
-    k = int(order)
-    if k != order:
-        raise ValueError("warp order must be an integer")
+    k = _warp_order(order)
     arr = np.asarray(x, dtype=float)
     if arr.size and not (-1e-9 <= arr.min() and arr.max() <= 1.0 + 1e-9):
         raise ValueError("warp argument outside [0, 1]")
@@ -95,7 +103,7 @@ class NoiseSpec:
     orders: tuple = (-3, 3)
 
     def __post_init__(self):
-        orders = tuple(sorted(int(k) for k in self.orders))
+        orders = tuple(sorted(_warp_order(k) for k in self.orders))
         object.__setattr__(self, "orders", orders)
         if len(set(orders)) != len(orders):
             raise ValueError("warp orders must be distinct")
@@ -133,7 +141,7 @@ class ScenarioSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
-        object.__setattr__(self, "warp_orders", tuple(int(k) for k in self.warp_orders))
+        object.__setattr__(self, "warp_orders", tuple(map(_warp_order, self.warp_orders)))
         object.__setattr__(
             self,
             "beta_ranges",

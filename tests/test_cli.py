@@ -782,10 +782,12 @@ class TestExitCodes:
             ("1,0", "domain requires lo < hi"),
             ("nan,1", "domain endpoints must be finite"),
             ("0,inf", "domain endpoints must be finite"),
+            ("-1e308,1e308", "domain width must be finite"),
         ],
     )
     def test_invalid_domain_names_the_problem(self, capsys, domain, message):
-        argv = ["fit", "--data", "x.csv", "--p", "1", "--domain", domain]
+        # "--domain=" lets a value start with "-"
+        argv = ["fit", "--data", "x.csv", "--p", "1", f"--domain={domain}"]
         code = cli([*argv, "--out", "m.json"])
         assert code == 2
         assert f"argument --domain: {message}" in capsys.readouterr().err
@@ -880,6 +882,10 @@ class TestExitCodes:
             (
                 {**valid, "domain": {"s0": 0, "s1": 10**400}},
                 "domain s1 is out of float range",
+            ),
+            (
+                {**valid, "domain": {"s0": -1e308, "s1": 1e308}},
+                "domain width must be finite",
             ),
             (
                 {**valid, "alpha": [10**400, 0, 0]},

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from mtdr.monotone_map import (
     MonotoneMap,
     NodeGrid,
+    _Interp,
+    map_eval,
     map_l2_distance,
     pushforward,
 )
@@ -40,6 +42,18 @@ class TestNodeGrid:
             NodeGrid.uniform(UNIT, 1)
         with pytest.raises(ValueError, match="at least 2"):
             NodeGrid(UNIT, 0)
+        for size in (4.5, 4.0, "4"):
+            with pytest.raises(ValueError, match="grid size must be an integer"):
+                NodeGrid(UNIT, size)
+        assert NodeGrid(UNIT, np.int64(4)) == NodeGrid(UNIT, 4)
+
+    def test_knots_are_ends_and_nodes(self):
+        dom = Domain(-2.0, 5.0)
+        g = NodeGrid(dom, 6)
+        assert np.array_equal(g.knots, np.concatenate(([dom.lo], g.nodes, [dom.hi])))
+        assert np.array_equal(g.nodes, dom.lo + dom.width * (np.arange(6) + 0.5) / 6)
+        with pytest.raises(ValueError, match="read-only"):
+            g.knots[1] = 0.0
 
     @pytest.mark.parametrize(
         "domain",
@@ -53,6 +67,8 @@ class TestNodeGrid:
 
     def test_matches(self):
         assert NodeGrid.uniform(UNIT, 6) == NodeGrid(UNIT, 6)
+        assert hash(NodeGrid.uniform(UNIT, 6)) == hash(NodeGrid(UNIT, 6))
+        assert "knots" not in repr(NodeGrid(UNIT, 6))
         assert NodeGrid.uniform(UNIT, 6) != NodeGrid.uniform(UNIT, 7)
         assert NodeGrid.uniform(UNIT, 6) != NodeGrid.uniform(Domain(0.0, 2.0), 6)
 
@@ -100,6 +116,45 @@ class TestMonotoneMap:
         out = np.asarray(T(x))
         assert np.all(np.diff(out) >= -1e-15)
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+class TestInterp:
+    """The fit's operator reads maps as map_eval does, and has an exact adjoint."""
+
+    DOM = Domain(-2.0, 5.0)
+
+    def stack(self, rng, grid):
+        # random points plus every knot, where segments meet
+        q = rng.uniform(self.DOM.lo, self.DOM.hi, size=(4, 30))
+        return np.concatenate((q.ravel(), grid.knots))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_map_eval(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = NodeGrid(self.DOM, 11)
+        T = MonotoneMap(grid, np.sort(rng.uniform(self.DOM.lo, self.DOM.hi, 11)))
+        Q = self.stack(rng, grid)
+        got = _Interp(grid, Q)(T.values)
+        assert np.max(np.abs(got - map_eval(T, Q))) <= 1e-15 * self.DOM.width
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_adjoint_identity(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = NodeGrid(self.DOM, 11)
+        Q = self.stack(rng, grid)
+        P = _Interp(grid, Q)
+        z1, z2 = rng.normal(size=(2, 11))
+        v = rng.normal(size=Q.size)
+        # P is affine in the node values, so differences remove the pinned ends
+        lhs = np.dot(P(z1) - P(z2), v)
+        assert lhs == pytest.approx(np.dot(z1 - z2, P.adjoint(v)), rel=1e-12)
+
+    def test_mass_is_adjoint_of_ones(self, rng):
+        grid = NodeGrid(self.DOM, 11)
+        Q = self.stack(rng, grid)
+        P = _Interp(grid, Q)
+        assert P.mass.shape == (11,)
+        assert np.array_equal(P.mass, P.adjoint(np.ones(Q.size)))
 
 
 class TestMapL2Distance:

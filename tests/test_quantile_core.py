@@ -43,6 +43,8 @@ class TestDomain:
             Domain(1.0, 1.0)
         with pytest.raises(ValueError, match="finite"):
             Domain(0.0, np.inf)
+        with pytest.raises(ValueError, match="domain width must be finite"):
+            Domain(-1e308, 1e308)
 
     def test_clamp_band(self):
         d = UNIT
@@ -71,6 +73,11 @@ class TestProbGrid:
             ProbGrid(1)
         with pytest.raises(ValueError, match="at least 2"):
             ProbGrid.midpoint(0)
+        for size in (2.5, 5.0, "5"):
+            with pytest.raises(ValueError, match="grid size must be an integer"):
+                ProbGrid(size)
+        assert ProbGrid(np.int64(5)) == ProbGrid(5)
+        assert type(ProbGrid(np.int64(5)).size) is int
 
     def test_matches(self):
         assert ProbGrid.midpoint(5) == ProbGrid(5)

@@ -49,8 +49,9 @@ class TestSineWarp:
         assert np.max(np.abs(y - x)) <= 1.0 / (abs(k) * np.pi) + 1e-12
 
     def test_rejects_non_integer_and_out_of_range(self):
-        with pytest.raises(ValueError, match="integer"):
-            sine_warp(1.5, 0.3)
+        for order in (1.5, 1.7, np.nan, "3"):
+            with pytest.raises(ValueError, match="warp order must be an integer"):
+                sine_warp(order, 0.3)
         with pytest.raises(ValueError, match="outside"):
             sine_warp(2, 1.2)
         with pytest.raises(ValueError, match="outside"):
@@ -72,6 +73,11 @@ class TestNoiseSpec:
             NoiseSpec(orders=(1, 2, -1))
         with pytest.raises(ValueError, match="nonempty"):
             NoiseSpec(orders=())
+        # non-integer orders fail sine_warp's check, not a later one
+        for orders in ((1.7, -1.7), (0.5, -0.5)):
+            with pytest.raises(ValueError, match="warp order must be an integer"):
+                NoiseSpec(orders=orders)
+        assert NoiseSpec(orders=(3.0, -3.0)).orders == (-3, 3)
         # the identity warp is an ordinary order
         assert NoiseSpec(orders=(2, 0, -2)).orders == (-2, 0, 2)
 
@@ -132,6 +138,16 @@ class TestScenarioSpec:
             )
         with pytest.raises(ValueError, match="test fraction"):
             single_predictor_scenario(0.5, test_fraction=1.5)
+        with pytest.raises(ValueError, match="warp order must be an integer"):
+            ScenarioSpec(
+                weights=SimplexWeights.of([0.5, 0.5]),
+                warp_orders=(1.5, 2),
+                beta_ranges=(((1.0, 5.0), (1.0, 5.0)),),
+                n=10,
+                m=10,
+                reps=1,
+                seed=0,
+            )
 
 
 class TestGenerateDataset:
