@@ -73,6 +73,9 @@ CASES = [
     ("fit_reference_file", ["fit", *_fit_args("../inputs/reference.json"), "--out", "model.json"]),
     ("fit_fixed_weights", ["fit", *_fit_args("uniform"), "--fixed-weights", "0.2,0.5,0.3",
                            "--out", "model.json"]),
+    # a zero weight freezes map 0 for the whole fit: it stays at the nodes
+    ("fit_fixed_weights_zero", ["fit", *_fit_args("uniform"), "--fixed-weights", "0,0.6,0.4",
+                                "--out", "model.json"]),
     ("loocv_uniform", ["loocv", *_fit_args("uniform"), "--out", "report.json"]),
     ("loocv_frechet", ["loocv", *_fit_args("frechet"), "--out", "report.json"]),
     ("fit_frechet_binned", ["fit", *BINNED_ARGS, "--out", "model.json"]),

@@ -626,7 +626,7 @@ def cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -17,9 +17,9 @@ weights; neither step raises the risk.  _Objective builds that risk, its
 prediction alpha @ B and both steps in one place, for fit and for the
 functions that evaluate a model.  The sweep is a fixed-point map of the
 map node values and weights, and the fit accelerates it by SQUAREM
-(Varadhan & Roland 2008): every two sweeps it extrapolates, projects the
-jump back onto monotone maps and simplex weights, and keeps one sweep from
-there only if it does not raise the risk.
+(Varadhan & Roland 2008): every two sweeps it extrapolates, repairs the
+jump into monotone maps (the monotone guard, not a solver) and simplex
+weights, and keeps one sweep from there only if it does not raise the risk.
 """
 
 from __future__ import annotations
@@ -257,11 +257,10 @@ class _Objective:
             if data.has_responses
             else None
         )
-        self.scale = data.prob_grid.step / n
-        self.lo, self.hi, self.t = data.domain.lo, data.domain.hi, maps[0].grid.size
+        self.scale, self.domain = data.prob_grid.step / n, data.domain
         self.theta = np.concatenate([T.values for T in maps] + [np.zeros(len(maps))])
-        cut = len(maps) * self.t
-        self.maps, self.alpha = self.theta[:cut].reshape(len(maps), self.t), self.theta[cut:]
+        cut = len(maps) * maps[0].grid.size
+        self.maps, self.alpha = self.theta[:cut].reshape(len(maps), -1), self.theta[cut:]
         self.B = np.stack([op(z) for op, z in zip(self.ops, self.maps)])
         self.free = weights is None
         self.alpha[:] = self.weight_step() if self.free else weights.values
@@ -312,7 +311,7 @@ class _Objective:
             out=np.zeros_like(mass),
             where=mass > 0.0,
         )
-        return IsotonicProblem(self.maps[k] - step, mass, self.lo, self.hi)
+        return IsotonicProblem(self.maps[k] - step, mass, self.domain.lo, self.domain.hi)
 
     def sweep(self, resid: np.ndarray) -> np.ndarray:
         """One ordinary sweep from the iterate with residual resid.
@@ -338,16 +337,14 @@ class _Objective:
             row[:] = op(z)
         return self.residual()
 
-    def project(self, jump: np.ndarray, theta2: np.ndarray) -> np.ndarray:
-        """The extrapolated iterate made feasible; frozen maps keep theta2."""
-        out, cut, shape = theta2.copy(), self.maps.size, self.maps.shape
-        maps, ones = out[:cut].reshape(shape), np.ones(self.t)
-        for k, z in enumerate(jump[:cut].reshape(shape)):
-            if self.updatable(k):
-                maps[k] = weighted_isotonic(IsotonicProblem(z, ones, self.lo, self.hi))
+    def project(self, jump: np.ndarray) -> np.ndarray:
+        """The jump made feasible in place: maps guarded, free weights projected."""
+        cut = self.maps.size
+        maps = jump[:cut].reshape(self.maps.shape)  # a view: the guard writes into jump
+        maps[:] = _guard_monotone(maps, self.domain)
         if self.free:
-            out[cut:] = simplex_project(jump[cut:])
-        return out
+            jump[cut:] = simplex_project(jump[cut:])
+        return jump
 
 
 # -- public operations ----------------------------------------------------
@@ -425,17 +422,18 @@ def fit(
     theta0 + 2a r + a^2 v takes the SqS3 step length a = max(1, |r| / |v|),
     bounded by a step_max that starts at 1, grows fourfold after a kept
     cycle that used it and shrinks fourfold (not below 1) after a discarded
-    one.  Projection makes the jump feasible: each map that takes updates
-    by one isotonic regression on the box of the domain (frozen maps keep
-    their theta2 values), the weights onto the simplex.  One stabilising
-    sweep follows; it is kept only if its risk is at most the risk at
-    theta2, else the fit continues from theta2.
+    one.  The jump is repaired, not projected: each map becomes the least
+    nondecreasing majorant of its values clipped to the domain (a map
+    frozen for the whole cycle jumps to where it stands), and free weights
+    go onto the simplex.  One stabilising sweep follows; it is kept only if
+    its risk is at most the risk at theta2, else the fit goes on from theta2.
 
-    The report's trajectory holds the risk of every iterate kept (each
-    ordinary sweep and each accepted stabilising sweep), so it is
-    nonincreasing.  The fit stops once a kept iterate decreases the risk by
-    at most rel_tol times the initial risk (converged), or once the
-    trajectory holds max_outer_iter entries after the initial one.  A
+    The fit returns its last kept iterate.  The report's trajectory holds
+    the risk of every iterate kept (each ordinary sweep and each accepted
+    stabilising sweep), so it is nonincreasing and ends at the returned
+    model's empirical risk.  The fit stops once a kept iterate decreases
+    the risk by at most rel_tol times the initial risk (converged), or once
+    the trajectory holds max_outer_iter entries after the initial one.  A
     discarded stabilising sweep adds no entry and a cycle discards at most
     one, so a fit runs at most 1.5 max_outer_iter sweeps.  An ordinary
     sweep that raises the risk, which only rounding can do (near a zero
@@ -476,7 +474,7 @@ def fit(
             norm_v = np.linalg.norm(v)
             a = min(step_max, max(1.0, np.linalg.norm(r) / norm_v)) if norm_v else 1.0
             jump = theta0 + 2.0 * a * r + a * a * v
-            resid = obj.sweep(obj.load(obj.project(jump, theta2)))  # stabilising
+            resid = obj.sweep(obj.load(obj.project(jump)))  # stabilising
             risk = obj.risk(resid)
             if risk > trajectory[-1]:  # discard it, continue from theta2
                 if a == step_max:
@@ -491,8 +489,7 @@ def fit(
         trajectory.append(risk)
 
     maps = tuple(MonotoneMap(node_grid, z) for z in obj.maps)
-    weights = SimplexWeights(simplex_project(obj.alpha)) if obj.free else fixed_weights
-    model = MtdrModel(reference, maps, weights)
+    model = MtdrModel(reference, maps, SimplexWeights(obj.alpha))
     return model, FitReport(np.asarray(trajectory), converged)
 
 

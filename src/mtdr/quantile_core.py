@@ -162,8 +162,8 @@ def _checked(values, size: int, domain: Domain, noun: str) -> np.ndarray:
 
 
 def _guard_monotone(q: np.ndarray, domain: Domain) -> np.ndarray:
-    """Clip float dust so exact nondecreasingness and domain bounds hold."""
-    return np.maximum.accumulate(np.clip(q, domain.lo, domain.hi))
+    """The least nondecreasing majorant of q clipped to the domain, row by row."""
+    return np.maximum.accumulate(np.clip(q, domain.lo, domain.hi), axis=-1)
 
 
 # -- operations ----------------------------------------------------------

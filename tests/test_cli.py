@@ -829,6 +829,30 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--t", "1000000000000"],
+            ["simulate", "--n", "1000000000000", "--reps", "1"],
+        ],
+    )
+    def test_absurd_size_is_runtime_error(self, tmp_path, capsys, argv):
+        # numpy refuses the terabytes at once, before anything is allocated;
+        # --reps is left out: its seeds are spawned one at a time
+        command, *size = argv
+        if command == "simulate":
+            rest = ["--scenario", "single", "--alpha", "0.5"]
+        else:
+            data = tmp_path / "d.csv"
+            sample_csv(data, n=3, m=4, seed=45)
+            rest = ["--data", str(data), "--p", "1", "--domain", "0,1"]
+        before = sorted(tmp_path.iterdir())
+        code = cli([command, *rest, *size, "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_zero_p_fits_the_intercept(self, tmp_path):
         _, resp = small_samples(n=4, m=8, seed=46)
         data = tmp_path / "responses.csv"

@@ -132,6 +132,17 @@ class TestGuardMonotone:
         vals = np.array([0.1, 0.4, 0.4, 0.9])
         assert np.array_equal(_guard_monotone(vals, UNIT), vals)
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_stack_is_guarded_row_by_row(self, seed):
+        # the fit repairs its whole map block, one map per row, in one call
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(-0.2, 1.2, size=(4, 12))
+        out = _guard_monotone(raw, UNIT)
+        assert np.array_equal(out, [_guard_monotone(row, UNIT) for row in raw])
+        # each row is the least nondecreasing majorant of its clipped input
+        for row, c in zip(out, np.clip(raw, 0.0, 1.0)):
+            assert np.array_equal(row, [c[: i + 1].max() for i in range(c.size)])
+
 
 class TestQuantileFromSamples:
     def test_two_point_sample_hand_values(self):
