@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -82,51 +83,55 @@ def ingest(
     response unless require_response is False).  Malformed rows, unknown
     variables and out-of-domain values are reported with their row number.
     The file is read as UTF-8, with or without a byte-order mark.
+
+    The file is streamed row by row.  A row whose raw (subject_id, variable)
+    fields were seen before takes the fast path: one lookup of its sample
+    list, float() of the value (which strips whitespace as str.strip does)
+    and a range test, then an append.  Every other row (the first of its
+    pair, a blank row, or one that fails the float or range test) takes
+    _checked_row's checks in order, so the first bad row in the file is
+    reported, with the same message either way.
     """
-    allowed = {f"pred{j}" for j in range(1, p + 1)} | {"response"}
     band = CLAMP_REL * domain.width
-    samples: dict = {}
-    order: list = []
+    low, high = domain.lo - band, domain.hi + band
+    allowed = {f"pred{j}" for j in range(1, p + 1)} | {"response"}
+    samples: dict = {}  # subject id -> variable -> sample list, in file order
+    seen: dict = {}  # raw (subject_id, variable) fields -> that sample list
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _records(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "subject_id",
-            "variable",
-            "value",
-        ]:
-            raise ValueError("expected header subject_id,variable,value")
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"row {row_no}: expected 3 fields")
-            sid, var, raw = row[0].strip(), row[1].strip(), row[2].strip()
-            if var not in allowed:
-                raise ValueError(f"row {row_no}: unknown variable {var!r}")
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ValueError(f"row {row_no}: non-numeric value {raw!r}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"row {row_no}: non-finite value")
-            if value < domain.lo - band or value > domain.hi + band:
-                raise ValueError(
-                    f"row {row_no}: value {value} outside domain"
-                    f" [{domain.lo}, {domain.hi}]"
-                )
-            if sid not in samples:
-                samples[sid] = {}
-                order.append(sid)
-            samples[sid].setdefault(var, []).append(value)
-    if not order:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != [
+                "subject_id",
+                "variable",
+                "value",
+            ]:
+                raise ValueError("expected header subject_id,variable,value")
+            for row_no, row in enumerate(reader, start=2):
+                try:
+                    sid, var, raw = row
+                    dest = seen[sid, var]
+                    value = float(raw)
+                except (ValueError, KeyError):
+                    dest = None
+                if dest is not None and low <= value <= high:
+                    dest.append(value)
+                    continue
+                checked = _checked_row(row, row_no, allowed, domain, low, high)
+                if checked is not None:
+                    sid, var, value = checked
+                    dest = samples.setdefault(sid, {}).setdefault(var, [])
+                    dest.append(value)
+                    seen[row[0], row[1]] = dest
+        except csv.Error as exc:
+            raise ValueError(f"row {reader.line_num}: {exc}") from None
+    if not samples:
         raise ValueError("no data rows")
     needed = [f"pred{j}" for j in range(1, p + 1)]
     if require_response:
         needed.append("response")
     subjects = []
-    for sid in order:
-        got = samples[sid]
+    for sid, got in samples.items():
         for var in needed:
             if var not in got:
                 raise ValueError(f"subject {sid!r} is missing variable {var!r}")
@@ -140,16 +145,34 @@ def ingest(
             else None
         )
         subjects.append(Subject(preds, resp))
-    return IngestResult(DataSet(tuple(subjects)), tuple(order))
+    return IngestResult(DataSet(tuple(subjects)), tuple(samples))
 
 
-def _records(fh):
-    """The CSV records of fh; one the csv module rejects raises a ValueError."""
-    reader = csv.reader(fh)
+def _checked_row(row, row_no, allowed, domain, low, high):
+    """(subject_id, variable, value) of a data row; None for a blank row.
+
+    A row that is malformed, names an unknown variable, or carries a value
+    that is not a finite number inside [low, high] raises a ValueError
+    naming its row number.
+    """
+    if not row or (len(row) == 1 and not row[0].strip()):
+        return None
+    if len(row) != 3:
+        raise ValueError(f"row {row_no}: expected 3 fields")
+    sid, var, raw = row[0].strip(), row[1].strip(), row[2].strip()
+    if var not in allowed:
+        raise ValueError(f"row {row_no}: unknown variable {var!r}")
     try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"row {reader.line_num}: {exc}") from None
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"row {row_no}: non-numeric value {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"row {row_no}: non-finite value")
+    if value < low or value > high:
+        raise ValueError(
+            f"row {row_no}: value {value} outside domain [{domain.lo}, {domain.hi}]"
+        )
+    return sid, var, value
 
 
 def write_long_csv(path, pred_samples, resp_samples=None, subject_ids=None) -> None:
@@ -577,14 +600,14 @@ def _cmd_predict(args) -> int:
     res = ingest(
         args.data, model.domain, model.prob_grid, model.p, require_response=False
     )
-    levels = model.prob_grid.levels
+    levels = [repr(level) for level in model.prob_grid.levels.tolist()]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subject_id", "p", "quantile"])
         for sid, subject in zip(res.subject_ids, res.dataset.subjects):
             q = predict(model, subject.predictors)
-            for level, value in zip(levels, q.values):
-                writer.writerow([sid, repr(float(level)), repr(float(value))])
+            values = map(repr, q.values.tolist())
+            writer.writerows(zip(itertools.repeat(sid), levels, values))
     return 0
 
 

@@ -286,7 +286,9 @@ class _Objective:
         return self.prediction() - self.resp
 
     def risk(self, resid: np.ndarray) -> float:
-        return float(self.scale * np.dot(resid, resid))
+        # np.dot would leave the summation order to BLAS, which splits long
+        # vectors over its threads; numpy's own sum does not depend on them
+        return float(self.scale * np.square(resid).sum())
 
     def weight_step(self) -> np.ndarray:
         """The weights that minimize the risk for the current maps."""

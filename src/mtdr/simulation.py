@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .fitting import (
     DataSet,
@@ -285,6 +284,10 @@ def generate_dataset(
     grids are computed for the test rows only, and the raw draws come back
     as samples.
     """
+    # imported here, not with the module: scipy.special is most of the time
+    # and memory that importing mtdr would take, and only this function needs it
+    from scipy.special import betaincinv
+
     domain = Domain.unit()
     grid = ProbGrid.midpoint(t)
     node_grid = NodeGrid.uniform(domain, t)
@@ -313,8 +316,8 @@ def generate_dataset(
         pred_samples = betaincinv(a_par.T[:, :, None], b_par.T[:, :, None], u)
         inner = (betaincinv(a_par[j][:, None], b_par[j][:, None], v) for j in range(p))
         resp_samples = _respond(spec, v, inner, ks)
-        pred_obs = [_type7_rows(pred_samples[:, j, :], levels) for j in range(p)]
-        resp_obs = _type7_rows(resp_samples, levels)
+        pred_obs = [_type7_rows(pred_samples[:, j, :], grid) for j in range(p)]
+        resp_obs = _type7_rows(resp_samples, grid)
         samples = SampleArrays(pred_samples, resp_samples)
 
     truth = MtdrModel(

@@ -114,6 +114,41 @@ class TestWriteIngestRoundTrip:
         assert res.dataset.n == 3
         assert all(s.response is None for s in res.dataset.subjects)
 
+    def test_padded_fields_group_with_unpadded(self, tmp_path):
+        plain = [["a", "pred1", "0.25"], ["a", "response", "0.5"],
+                 ["a", "pred1", "0.75"], ["a", "response", "0.125"]]  # fmt: skip
+        padded = [["a", "pred1", "0.25"], [" a ", "response", "0.5 "],
+                  ["a\t", " pred1", " 0.75"], ["a", "response ", "\t0.125"]]  # fmt: skip
+        results = []
+        for name, rows in (("plain.csv", plain), ("padded.csv", padded)):
+            write_rows(tmp_path / name, rows)
+            results.append(ingest(str(tmp_path / name), UNIT, ProbGrid.midpoint(5), p=1))
+        expected, got = results
+        assert got.subject_ids == expected.subject_ids == ("a",)
+        for mine, theirs in zip(got.dataset.subjects, expected.dataset.subjects):
+            assert np.array_equal(mine.predictors[0].values, theirs.predictors[0].values)
+            assert np.array_equal(mine.response.values, theirs.response.values)
+
+    def test_interleaved_subjects_keep_first_appearance_order(self, tmp_path):
+        rng = np.random.default_rng(44)
+        draws = {sid: rng.random((2, 6)) for sid in ("b", "a", "c")}
+        rows = [
+            [sid, var, repr(float(draws[sid][k, i]))]
+            for i in range(6)
+            for sid in ("b", "a", "c")
+            for k, var in enumerate(("pred1", "response"))
+        ]
+        path = tmp_path / "interleaved.csv"
+        write_rows(path, rows)
+        grid = ProbGrid.midpoint(7)
+        res = ingest(str(path), UNIT, grid, p=1)
+        assert res.subject_ids == ("b", "a", "c")
+        for sid, subject in zip(res.subject_ids, res.dataset.subjects):
+            pred = quantile_from_samples(draws[sid][0], UNIT, grid)
+            resp = quantile_from_samples(draws[sid][1], UNIT, grid)
+            assert np.array_equal(subject.predictors[0].values, pred.values)
+            assert np.array_equal(subject.response.values, resp.values)
+
     def test_custom_subject_ids_preserved(self, tmp_path):
         pred, resp = small_samples(n=2, m=4)
         path = tmp_path / "long.csv"
@@ -185,6 +220,57 @@ class TestIngestErrors:
         with pytest.raises(ValueError) as err:
             ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
         assert str(err.value) == "row 3: non-numeric value 'oops'"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([["a", "pred1", "oops"], ["a", "pred2", "0.5"]],
+             "row 3: non-numeric value 'oops'"),
+            ([["a", "pred1", "1.5"], ["a", "pred1", "x"]],
+             "row 3: value 1.5 outside domain [0.0, 1.0]"),
+            ([["a", "pred1", "nan"], ["a", "pred1"]], "row 3: non-finite value"),
+            ([["a", "pred1", "0.5", "0.75"], ["a", "pred1", "2.0"]],
+             "row 3: expected 3 fields"),
+        ],
+        ids=["non_numeric", "out_of_domain", "non_finite", "field_count"],
+    )  # fmt: skip
+    def test_first_bad_row_wins(self, tmp_path, rows, message):
+        # the first row of each case is a valid row of the pair the bad row
+        # repeats, so the bad row is read as a known pair
+        path = tmp_path / "bad.csv"
+        write_rows(path, [["a", "pred1", "0.5"], *rows])
+        with pytest.raises(ValueError) as err:
+            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+        assert str(err.value) == message
+
+    def test_unknown_variable_named_before_its_value(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_rows(path, [["a", "pred1", "0.5"], ["a", "pred9", "abc"]])
+        with pytest.raises(ValueError) as err:
+            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+        assert str(err.value) == "row 3: unknown variable 'pred9'"
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", " NaN "])
+    def test_non_finite_after_valid_rows_of_its_pair(self, tmp_path, raw):
+        path = tmp_path / "bad.csv"
+        rows = [["a", "pred1", "0.5"], ["a", "pred1", "0.25"], ["a", "pred1", raw]]
+        write_rows(path, rows)
+        with pytest.raises(ValueError) as err:
+            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+        assert str(err.value) == "row 4: non-finite value"
+
+    def test_csv_error_after_bad_row_reports_bad_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        huge = ["a", "pred1", "1" * (csv.field_size_limit() + 1)]
+        write_rows(path, [["a", "pred1", "0.5"], ["a", "pred1", "oops"], huge])
+        with pytest.raises(ValueError) as err:
+            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+        assert str(err.value) == "row 3: non-numeric value 'oops'"
+        write_rows(path, [["a", "pred1", "0.5"], huge])
+        with pytest.raises(ValueError) as err:
+            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+        limit = csv.field_size_limit()
+        assert str(err.value) == f"row 3: field larger than field limit ({limit})"
 
     def test_clamp_band_admits_roundoff(self, tmp_path):
         path = tmp_path / "edge.csv"
@@ -464,6 +550,27 @@ class TestCliFitPredictEvaluate:
             expected = predict(model, subject.predictors)
             assert np.array_equal(got[:, 0], model.prob_grid.levels)
             assert np.array_equal(got[:, 1], expected.values)
+
+    def test_predict_quotes_subject_ids(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        save_model(str(model_path), identity_model(t=4))
+        data = tmp_path / "data.csv"
+        pred, _ = small_samples(n=2, m=5, seed=37)
+        write_long_csv(data, pred, subject_ids=["Smith, J", "plain"])
+        out = tmp_path / "preds.csv"
+        code = cli(
+            ["predict", "--model", str(model_path), "--data", str(data),
+             "--out", str(out)]
+        )  # fmt: skip
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 2 * 4
+        assert all(line.startswith('"Smith, J",') for line in lines[1:5])
+        assert lines[1].startswith('"Smith, J",0.125,')
+        assert all(line.startswith("plain,") for line in lines[5:])
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == ["Smith, J"] * 4 + ["plain"] * 4
 
     def test_evaluate_perfect_predictions_prints_zero(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -10,6 +10,7 @@ from mtdr.quantile_core import (
     ProbGrid,
     QuantileGrid,
     _guard_monotone,
+    _type7_rows,
     frechet_mean,
     quantile_from_samples,
     wasserstein_distance,
@@ -169,6 +170,36 @@ class TestQuantileFromSamples:
     def test_band_overshoot_clipped(self):
         qg = quantile_from_samples([-1e-11, 1.0 + 1e-11], UNIT, ProbGrid.midpoint(4))
         assert qg.values.min() >= 0.0 and qg.values.max() <= 1.0
+
+
+class TestType7Rows:
+    """The sort-based kernel is numpy's type-7 estimator, bit for bit."""
+
+    SAMPLES = {
+        "random": lambda rng, shape: rng.normal(size=shape),
+        "tied": lambda rng, shape: rng.integers(0, 4, size=shape) / 4.0,
+        "constant": lambda rng, shape: np.full(shape, 0.3),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLES))
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 200, 399])
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_equals_numpy_linear(self, kind, m, rows):
+        rng = np.random.default_rng(m)
+        shape = (m,) if rows is None else (rows, m)
+        for t in (2, 3, 7, 299, 300, 499):
+            samples = self.SAMPLES[kind](rng, shape)
+            grid = ProbGrid.midpoint(t)
+            expected = np.quantile(samples, grid.levels, axis=-1, method="linear").T
+            got = _type7_rows(samples, grid)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_leaves_samples_unchanged(self):
+        samples = np.random.default_rng(5).random((3, 20))
+        before = samples.copy()
+        _type7_rows(samples, ProbGrid.midpoint(9))
+        assert np.array_equal(samples, before)
 
 
 class TestWassersteinDistance:
