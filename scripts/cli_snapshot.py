@@ -9,8 +9,10 @@ through ``mtdr.cli.cli``.  Its inputs, written to OUT/inputs, are the
 mortality-like file that scripts/make_mortality_like.py writes by default
 (34 subjects, 500 samples per variable, domain 0,100), the same file with
 every sample rounded to a multiple of 5 (ages in 5-year bands, fitted at
-t = 300, where the Frechet reference has flat stretches), a reference JSON
-and two model and reference files that lack a field.  Each command line
+t = 300, where the Frechet reference has flat stretches), a 6-subject file
+with 50 samples per variable (fitted and scored at t = 12000, a size at
+which BLAS sums split over threads), a reference JSON and two model and
+reference files that lack a field.  Each command line
 runs in its own directory OUT/<case>, which ends up holding the files the
 command wrote plus ``argv``, ``exit`` (the exit code), ``stdout`` and
 ``stderr``.  Paths in the command lines are relative, and help text is
@@ -21,7 +23,7 @@ byte-identical: compare two source trees with
     PYTHONPATH=b/src python scripts/cli_snapshot.py snap_b
     diff -r snap_a snap_b
 
-Sizes are small: the whole snapshot takes about 12 s in one process on a
+Sizes are small: the whole snapshot takes about 14 s in one process on a
 two-core machine.  OUT must not exist yet, or be empty.
 """
 
@@ -51,6 +53,8 @@ def _fit_args(reference: str, data: str = DATA, t: str = FIT_T) -> list:
 # the binned file's Frechet reference over all 34 subjects has 26 zero
 # quantile steps at t = 300 and none at t = 100
 BINNED_ARGS = _fit_args("frechet", "../inputs/mortality_like_binned.csv", "300")
+
+LARGE_T_DATA = "../inputs/mortality_like_6x50.csv"
 
 
 def _simulate(scenario: str, alpha: str, *noise: str) -> list:
@@ -85,6 +89,9 @@ CASES = [
                        "--out", "score.json"]),
     ("evaluate_awd", ["evaluate", "--model", MODEL, "--data", DATA, "--metric", "awd",
                       "--out", "score.json"]),
+    ("fit_large_t", ["fit", *_fit_args("uniform", LARGE_T_DATA, "12000"), "--out", "model.json"]),
+    ("evaluate_large_t", ["evaluate", "--model", "../fit_large_t/model.json",
+                          "--data", LARGE_T_DATA, "--out", "score.json"]),
     ("help", ["--help"]),
     *[(f"help_{cmd}", [cmd, "--help"])
       for cmd in ("simulate", "fit", "predict", "evaluate", "loocv")],
@@ -119,11 +126,13 @@ CASES = [
 
 
 def _write_inputs(inputs: str) -> None:
-    """Both mortality-like files, a reference and two files lacking a field."""
+    """The mortality-like files, a reference and two files lacking a field."""
     pred, resp = mortality_like_samples(domain=Domain(0.0, 100.0))
     write_long_csv(os.path.join(inputs, "mortality_like.csv"), pred, resp)
     write_long_csv(os.path.join(inputs, "mortality_like_binned.csv"),
                    5.0 * np.round(pred / 5.0), 5.0 * np.round(resp / 5.0))  # fmt: skip
+    pred, resp = mortality_like_samples(n=6, m=50, domain=Domain(0.0, 100.0))
+    write_long_csv(os.path.join(inputs, "mortality_like_6x50.csv"), pred, resp)
     t = int(FIT_T)
     docs = {
         "reference.json": {"quantiles": [100.0 * ((r + 0.5) / t) ** 1.5 for r in range(t)]},

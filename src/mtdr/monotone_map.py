@@ -1,10 +1,11 @@
 """Endpoint-pinned monotone maps of a compact interval, stored on node grids.
 
-A map is represented by its values on spatial nodes, the midpoints of t equal
-cells of the domain.  Evaluation interpolates the piecewise linear curve
-through (lo, lo), (x_r, z_r), (hi, hi), so every map fixes both endpoints and
-is nondecreasing whenever its node values are.  The node grid holds these
-knots lo, nodes..., hi; _Interp reads maps through them at a quantile stack.
+A map is represented by its values on spatial nodes, the t probability levels
+carried onto the domain: the midpoints of t equal cells.  Evaluation
+interpolates the piecewise linear curve through (lo, lo), (x_r, z_r),
+(hi, hi), so every map fixes both endpoints and is nondecreasing whenever its
+node values are.  The node grid holds these knots lo, nodes..., hi; _Interp
+reads maps through them at a quantile stack.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantile_core import Domain, QuantileGrid, _checked, _grid_size, _guard_monotone
+from .quantile_core import Domain, ProbGrid, QuantileGrid
+from .quantile_core import _checked, _grid_size, _guard_monotone, _sumsq
 
 __all__ = [
     "NodeGrid",
@@ -26,14 +28,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NodeGrid:
-    """A domain cut into t equal cells, each carrying its midpoint as node.
+    """The t probability levels carried onto a domain: lo + width * level.
 
-    edges has t + 1 entries from domain.lo to domain.hi, and node r is the
-    midpoint of [edges[r], edges[r+1]], so every node is strictly interior
-    and evaluation can pin the endpoints by augmentation.  knots is the
-    read-only (lo, nodes..., hi), built once; evaluation divides by its
-    gaps, so each float knot must exceed the last.  A grid is its domain
-    and size: two grids are equal when both are, and knots is not compared.
+    Node r is the midpoint of the r-th of t equal cells, computed as the
+    uniform reference quantile at level r, so that reference reads every
+    map at its nodes exactly.  Every node is strictly interior, and
+    evaluation pins the endpoints by augmentation.  knots is the read-only
+    (lo, nodes..., hi), built once; evaluation divides by its gaps, so each
+    float knot must exceed the last.  A grid is its domain and size: two
+    grids are equal when both are, and knots is not compared.
     """
 
     domain: Domain
@@ -45,7 +48,7 @@ class NodeGrid:
         if self.t < 2:
             raise ValueError("node grid size must be at least 2")
         dom, t = self.domain, self.t
-        x = np.concatenate(([dom.lo], dom.lo + dom.width * (np.arange(t) + 0.5) / t, [dom.hi]))
+        x = np.concatenate(([dom.lo], dom.lo + dom.width * ProbGrid(t).levels, [dom.hi]))
         if not np.all(x[1:] > x[:-1]):
             raise ValueError(f"domain [{x[0]}, {x[-1]}] cannot hold {t} distinct nodes")
         x.setflags(write=False)
@@ -62,18 +65,6 @@ class NodeGrid:
     @property
     def nodes(self) -> np.ndarray:
         return self.knots[1:-1]
-
-    @property
-    def edges(self) -> np.ndarray:
-        dom = self.domain
-        edges = dom.lo + dom.width * np.arange(self.t + 1) / self.t
-        # pin the end edges, which lo + width * t / t can miss by rounding
-        edges[0], edges[-1] = dom.lo, dom.hi
-        return edges
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,13 +98,11 @@ def map_eval(T: MonotoneMap, x):
 def map_l2_distance(T1: MonotoneMap, T2: MonotoneMap) -> float:
     """L2 distance between maps under the normalized cell quadrature.
 
-    sqrt( sum_r (z1_r - z2_r)^2 h_r / (hi - lo) ), with h_r the cell widths.
+    Every cell is 1/t of the domain, so this is sqrt( sum_r (z1_r - z2_r)^2 / t ).
     """
     if T1.grid != T2.grid:
         raise ValueError("node grid mismatch between maps")
-    diff = T1.values - T2.values
-    w = T1.grid.widths / T1.grid.domain.width
-    return float(np.sqrt(np.dot(diff * diff, w)))
+    return float(np.sqrt(_sumsq(T1.values - T2.values) / T1.grid.size))
 
 
 def pushforward(T: MonotoneMap, mu: QuantileGrid) -> QuantileGrid:

@@ -162,6 +162,16 @@ def _checked(values, size: int, domain: Domain, noun: str) -> np.ndarray:
     return v
 
 
+def _sumsq(x: np.ndarray) -> float:
+    """The sum of squares of x, the one rule for every grid sum and norm.
+
+    np.dot and np.linalg.norm leave the summation order to BLAS, which
+    splits long vectors over its threads; numpy's own sum does not depend
+    on them, so no result changes with the BLAS thread count.
+    """
+    return float(np.square(x).sum())
+
+
 def _guard_monotone(q: np.ndarray, domain: Domain) -> np.ndarray:
     """The least nondecreasing majorant of q clipped to the domain, row by row."""
     return np.maximum.accumulate(np.clip(q, domain.lo, domain.hi), axis=-1)
@@ -241,7 +251,7 @@ def wasserstein_distance(mu: QuantileGrid, nu: QuantileGrid) -> float:
     """
     _check_common_gridding(mu, nu)
     diff = mu.values - nu.values
-    return float(np.sqrt(np.dot(diff, diff) * mu.grid.step))
+    return float(np.sqrt(_sumsq(diff) * mu.grid.step))
 
 
 def frechet_mean(measures, weights) -> QuantileGrid:
@@ -269,5 +279,5 @@ def frechet_mean(measures, weights) -> QuantileGrid:
     for m in measures[1:]:
         _check_common_gridding(first, m)
     stack = np.stack([m.values for m in measures])
-    q = lam @ stack
+    q = np.einsum("i,ij->j", lam, stack)  # lam @ stack, summed without BLAS
     return QuantileGrid(first.domain, first.grid, _guard_monotone(q, first.domain))

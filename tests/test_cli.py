@@ -11,14 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mtdr.cli
 from mtdr.cli import (
     cli,
     ingest,
     load_model,
+    loocv,
     save_model,
     write_long_csv,
 )
-from mtdr.fitting import FitConfig, MtdrModel, fit, predict
+from mtdr.fitting import DataSet, FitConfig, MtdrModel, Subject, fit, predict
 from mtdr.monotone_map import MonotoneMap, NodeGrid
 from mtdr.quantile_core import (
     Domain,
@@ -424,7 +426,8 @@ class TestCliFitPredictEvaluate:
         assert predictions[0] == predictions[1]
 
     def test_fit_on_domain_whose_grid_end_rounds(self, tmp_path):
-        # lo + width * t / t misses hi by rounding for this domain and t
+        # lo + width * t / t misses hi by rounding for this domain and t, but
+        # the knots end at lo and hi themselves
         domain = Domain(-1.0, 0.9)
         pred, resp = small_samples(n=4, m=10, seed=38)
         data = tmp_path / "train.csv"
@@ -443,8 +446,8 @@ class TestCliFitPredictEvaluate:
         )
         assert code == 0
         model, _ = load_model(str(out))
-        assert model.node_grid.edges[0] == -1.0
-        assert model.node_grid.edges[-1] == 0.9
+        assert model.node_grid.knots[0] == -1.0
+        assert model.node_grid.knots[-1] == 0.9
 
     def test_fixed_weights_respected(self, tmp_path):
         data = tmp_path / "train.csv"
@@ -798,6 +801,31 @@ class TestCliLoocv:
         assert b.pop("reference") == str(ref_path)
         assert a.pop("reference") == "uniform"
         assert a == b
+
+    def test_fold_reference_never_sees_held_out_response(self, monkeypatch):
+        grid = ProbGrid.midpoint(30)
+        pred, resp = small_samples(n=5, m=8, seed=41)
+        data = DataSet(
+            tuple(
+                Subject((quantile_from_samples(x[0], UNIT, grid),),
+                        quantile_from_samples(y, UNIT, grid))
+                for x, y in zip(pred, resp)
+            )
+        )  # fmt: skip
+        calls = []
+
+        def recording_mean(measures, weights):
+            calls.append((list(measures), np.asarray(weights)))
+            return frechet_mean(measures, weights)
+
+        monkeypatch.setattr(mtdr.cli, "frechet_mean", recording_mean)
+        loocv(data, [f"s{i}" for i in range(data.n)], "frechet")
+        assert len(calls) == data.n
+        for i, (measures, weights) in enumerate(calls):
+            rest = [s.response for j, s in enumerate(data.subjects) if j != i]
+            assert len(measures) == len(rest)
+            assert all(a is b for a, b in zip(measures, rest))
+            assert np.array_equal(weights, np.full(data.n - 1, 1.0 / (data.n - 1)))
 
     def test_byte_identical_reruns(self, tmp_path):
         _, first = self.run_loocv(tmp_path, "a.json")

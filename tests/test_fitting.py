@@ -1,6 +1,11 @@
 """Tests for the model type, the risk pieces, and the alternating fit."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +51,7 @@ from mtdr.solvers import SimplexWeights, weighted_isotonic
 from oracles import riemann_quantile_l2
 
 UNIT = Domain(0.0, 1.0)
+REPO = Path(__file__).resolve().parents[1]
 
 
 def uniform_reference(t):
@@ -582,3 +588,49 @@ class TestPredictiveSeminorm:
         data = DataSet((Subject((random_measure(rng, 30),), None),))
         with pytest.raises(ValueError, match="share"):
             predictive_seminorm(a, b, data)
+
+
+# Sizes at which a BLAS dot or matrix-vector product splits its sum over
+# threads: 20,000 measures, t = 20,000, and p = 10 with n * t = 200,000.
+_LARGE_SIZES = textwrap.dedent(
+    """
+    import numpy as np
+    from mtdr.fitting import DataSet, Subject, _Objective
+    from mtdr.monotone_map import MonotoneMap, NodeGrid
+    from mtdr.quantile_core import (
+        Domain, ProbGrid, QuantileGrid, frechet_mean, wasserstein_distance,
+    )
+
+    rng = np.random.default_rng(5)
+    dom = Domain(0.0, 1.0)
+
+    def measures(count, t):
+        q = np.sort(rng.uniform(size=(count, t)), axis=1)
+        return [QuantileGrid(dom, ProbGrid(t), row) for row in q]
+
+    mean = frechet_mean(measures(20000, 50), np.full(20000, 1 / 20000))
+    print(mean.values.tobytes().hex())
+    print(wasserstein_distance(*measures(2, 20000)).hex())
+    n, t, p = 20, 10000, 10
+    data = DataSet(tuple(Subject(measures(p, t), measures(1, t)[0]) for _ in range(n)))
+    maps = [MonotoneMap(NodeGrid(dom, t), np.sort(rng.uniform(size=t))) for _ in range(p + 1)]
+    reference = QuantileGrid(dom, ProbGrid(t), ProbGrid(t).levels)
+    print(_Objective(data, reference, maps).alpha.tobytes().hex())
+    """
+)
+
+
+def test_large_sizes_do_not_depend_on_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _LARGE_SIZES],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mtdr.cli import _resolve_reference
+from mtdr.fitting import DataSet, Subject
 from mtdr.monotone_map import (
     MonotoneMap,
     NodeGrid,
@@ -27,15 +29,12 @@ def random_map(rng, grid):
 class TestNodeGrid:
     def test_uniform_midpoints(self):
         g = NodeGrid.uniform(UNIT, 4)
-        assert np.allclose(g.nodes, [0.125, 0.375, 0.625, 0.875])
-        assert np.allclose(g.edges, [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert np.allclose(g.widths, 0.25)
+        assert np.array_equal(g.knots, [0.0, 0.125, 0.375, 0.625, 0.875, 1.0])
 
     def test_scales_with_domain(self):
-        dom = Domain(0.0, 100.0)
-        g = NodeGrid.uniform(dom, 5)
-        assert g.edges[0] == 0.0 and g.edges[-1] == 100.0
-        assert np.allclose(g.widths.sum(), 100.0)
+        g = NodeGrid.uniform(Domain(0.0, 100.0), 5)
+        assert g.knots[0] == 0.0 and g.knots[-1] == 100.0
+        assert np.allclose(g.nodes, [10.0, 30.0, 50.0, 70.0, 90.0])
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -51,7 +50,7 @@ class TestNodeGrid:
         dom = Domain(-2.0, 5.0)
         g = NodeGrid(dom, 6)
         assert np.array_equal(g.knots, np.concatenate(([dom.lo], g.nodes, [dom.hi])))
-        assert np.array_equal(g.nodes, dom.lo + dom.width * (np.arange(6) + 0.5) / 6)
+        assert np.array_equal(g.nodes, dom.lo + dom.width * ProbGrid(6).levels)
         with pytest.raises(ValueError, match="read-only"):
             g.knots[1] = 0.0
 
@@ -64,6 +63,24 @@ class TestNodeGrid:
     def test_rejects_domains_without_distinct_knots(self, domain):
         with pytest.raises(ValueError, match="cannot hold 100 distinct nodes"):
             NodeGrid(domain, 100)
+
+    @pytest.mark.parametrize("t", [2, 20, 300, 1000])
+    @pytest.mark.parametrize(
+        "domain",
+        [(0.0, 100.0), (-1.0, 0.9), (10.0, 20.0), (0.0, 1e-3), (0.0, 1.0)],
+        ids=str,
+    )
+    def test_nodes_are_the_uniform_reference(self, domain, t):
+        # the cli's uniform reference, lo + width * levels, hits every node
+        # in its last bit, so every map reads there at its own node values
+        dom = Domain(*domain)
+        grid = NodeGrid(dom, t)
+        subject = Subject((), QuantileGrid(dom, ProbGrid(t), np.full(t, dom.lo)))
+        reference = _resolve_reference("uniform", DataSet((subject,))).values
+        assert np.array_equal(grid.nodes, reference)
+        assert np.all(_Interp(grid, reference).f == 0.0)
+        T = MonotoneMap(grid, np.sort(np.random.default_rng(t).uniform(*domain, size=t)))
+        assert np.array_equal(T(reference), T.values)
 
     def test_matches(self):
         assert NodeGrid.uniform(UNIT, 6) == NodeGrid(UNIT, 6)
@@ -188,6 +205,12 @@ class TestMapL2Distance:
         assert map_l2_distance(ident, lowered) == pytest.approx(
             np.sqrt(5.0 / 6.0), abs=0.02
         )
+
+    def test_root_mean_square_of_node_gaps(self, rng):
+        # every cell is 1/t of the domain, so the quadrature is a plain mean
+        grid = NodeGrid.uniform(Domain(-3.0, 7.0), 257)
+        a, b = (MonotoneMap(grid, np.sort(rng.uniform(-3.0, 7.0, 257))) for _ in "ab")
+        assert map_l2_distance(a, b) == np.sqrt(np.mean((a.values - b.values) ** 2))
 
 
 class TestPushforward:
