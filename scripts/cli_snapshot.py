@@ -82,6 +82,8 @@ CASES = [
                                 "--out", "model.json"]),
     ("loocv_uniform", ["loocv", *_fit_args("uniform"), "--out", "report.json"]),
     ("loocv_frechet", ["loocv", *_fit_args("frechet"), "--out", "report.json"]),
+    ("loocv_reference_file", ["loocv", *_fit_args("../inputs/reference.json"),
+                              "--out", "report.json"]),
     ("fit_frechet_binned", ["fit", *BINNED_ARGS, "--out", "model.json"]),
     ("loocv_frechet_binned", ["loocv", *BINNED_ARGS, "--out", "report.json"]),
     ("predict", ["predict", "--model", MODEL, "--data", DATA, "--out", "predictions.csv"]),

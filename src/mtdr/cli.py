@@ -262,6 +262,14 @@ def _floats(value, what: str, ndim: int = 1) -> np.ndarray:
     return arr
 
 
+def _named(what: str, build, *args):
+    """build(*args), else its ValueError with what, the input's name, in front."""
+    try:
+        return build(*args)
+    except ValueError as err:
+        raise ValueError(f"{what}: {err}") from None
+
+
 def _read_json(path: str, what: str) -> dict:
     """The JSON object in a file, else a ValueError naming what the file is."""
     with open(path, encoding="utf-8-sig") as fh:
@@ -306,8 +314,8 @@ def save_model(path: str, model: MtdrModel, report: FitReport | None = None) -> 
         "format_version": FORMAT_VERSION,
         "domain": {"s0": model.domain.lo, "s1": model.domain.hi},
         "t": model.node_grid.size,
-        "prob_grid": {"kind": "midpoint", "size": model.prob_grid.size},
-        "node_grid": {"kind": "uniform", "size": model.node_grid.size},
+        "prob_grid": {"kind": _GRID_KINDS["prob_grid"][0], "size": model.prob_grid.size},
+        "node_grid": {"kind": _GRID_KINDS["node_grid"][0], "size": model.node_grid.size},
         "alpha": model.weights.values.tolist(),
         "maps": [T.values.tolist() for T in model.maps],
         "reference_quantiles": model.reference.values.tolist(),
@@ -339,8 +347,10 @@ def load_model(path: str):
     map_values = _floats(_field(doc, "maps"), "maps", ndim=2)
     prob_grid = ProbGrid(_sized(doc, "prob_grid", ref_values.size))
     node_grid = NodeGrid(domain, _sized(doc, "node_grid", map_values.shape[1]))
-    reference = QuantileGrid(domain, prob_grid, ref_values)
-    maps = tuple(MonotoneMap(node_grid, z) for z in map_values)
+    reference = _named("reference_quantiles", QuantileGrid, domain, prob_grid, ref_values)
+    maps = tuple(
+        _named(f"maps[{k}]", MonotoneMap, node_grid, z) for k, z in enumerate(map_values)
+    )
     weights = SimplexWeights.of(_floats(_field(doc, "alpha"), "alpha"))
     model = MtdrModel(reference, maps, weights)
     report = None
@@ -365,14 +375,14 @@ def _resolve_reference(choice: str, data: DataSet) -> QuantileGrid:
     """uniform | frechet | path to a JSON file with a "quantiles" array."""
     domain, grid = data.domain, data.prob_grid
     if choice == "uniform":
-        return QuantileGrid(domain, grid, domain.lo + domain.width * grid.levels)
+        return QuantileGrid(domain, grid, NodeGrid(domain, grid.size).nodes)
     if choice == "frechet":
         responses = [s.response for s in data.subjects]
         lam = np.full(len(responses), 1.0 / len(responses))
         return frechet_mean(responses, lam)
     doc = _read_json(choice, "reference file")
     values = _floats(_field(doc, "quantiles", "reference file"), "reference quantiles")
-    return QuantileGrid(domain, grid, values)
+    return _named(f"reference file {choice}", QuantileGrid, domain, grid, values)
 
 
 # -- leave-one-out cross validation ------------------------------------------
@@ -382,21 +392,24 @@ def loocv(data: DataSet, subject_ids, reference_choice: str) -> dict:
     """Hold out each subject once, fit on the rest, score the prediction.
 
     The predictor count, domain and probability grid are those of the data.
-    The reference is resolved per fold from the training subjects, so a
-    frechet reference never sees the held-out response.  Returns the report
-    document with each fold's distance, weights, and the iterations and
-    converged flag of its fit; the reported awd is the mean of the fold
-    distances.
+    A uniform or file reference is resolved once; a frechet reference is
+    resolved per fold from the training subjects, so it never sees the
+    held-out response.  Returns the report document with each fold's
+    distance, weights, and the iterations and converged flag of its fit;
+    the reported awd is the mean of the fold distances.
     """
     if data.n < 2:
         raise ValueError("leave-one-out needs at least two subjects")
     if not data.has_responses:
         raise ValueError("leave-one-out needs responses")
+    per_fold = reference_choice == "frechet"
+    reference = None if per_fold else _resolve_reference(reference_choice, data)
     folds = []
     distances = []
     for i in range(data.n):
         rest = DataSet(tuple(s for j, s in enumerate(data.subjects) if j != i))
-        reference = _resolve_reference(reference_choice, rest)
+        if per_fold:
+            reference = _resolve_reference(reference_choice, rest)
         model, report = fit(rest, data.p, reference)
         held = data.subjects[i]
         dist = wasserstein_distance(held.response, predict(model, held.predictors))
@@ -536,7 +549,12 @@ def _build_parser() -> argparse.ArgumentParser:
     data_args.add_argument("--data", required=True)
     data_args.add_argument("--p", type=_parse_count(0), required=True)
     data_args.add_argument("--domain", type=_parse_domain, required=True)
-    data_args.add_argument("--reference", default="uniform")
+    data_args.add_argument(
+        "--reference",
+        default="uniform",
+        help="uniform (default), frechet (the barycenter of the training responses,"
+        ' rebuilt for each loocv fold), or a JSON file with a "quantiles" array',
+    )
     data_args.add_argument("--t", type=_parse_count(2), default=1000)
 
     fit_p = sub.add_parser(

@@ -30,9 +30,9 @@ __all__ = [
 class NodeGrid:
     """The t probability levels carried onto a domain: lo + width * level.
 
-    Node r is the midpoint of the r-th of t equal cells, computed as the
-    uniform reference quantile at level r, so that reference reads every
-    map at its nodes exactly.  Every node is strictly interior, and
+    Node r is the midpoint of the r-th of t equal cells.  The nodes are the
+    one spelling of the uniform reference's quantiles, so that reference
+    reads every map at its nodes exactly.  Every node is strictly interior, and
     evaluation pins the endpoints by augmentation.  knots is the read-only
     (lo, nodes..., hi), built once; evaluation divides by its gaps, so each
     float knot must exceed the last.  A grid is its domain and size: two

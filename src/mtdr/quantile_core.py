@@ -152,7 +152,7 @@ def _checked(values, size: int, domain: Domain, noun: str) -> np.ndarray:
     """
     v = _readonly(np.atleast_1d(values))
     if v.size != size:
-        raise ValueError(f"{noun} vector length must match its grid size")
+        raise ValueError(f"{noun} vector length {v.size} does not match grid size {size}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{noun} values must be finite")
     if np.any(np.diff(v) < 0.0):

@@ -321,7 +321,7 @@ def generate_dataset(
         samples = SampleArrays(pred_samples, resp_samples)
 
     truth = MtdrModel(
-        reference=QuantileGrid(domain, grid, levels),
+        reference=QuantileGrid(domain, grid, node_grid.nodes),
         maps=tuple(
             MonotoneMap(node_grid, sine_warp(k, node_grid.nodes))
             for k in spec.warp_orders

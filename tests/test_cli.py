@@ -802,6 +802,22 @@ class TestCliLoocv:
         assert a.pop("reference") == "uniform"
         assert a == b
 
+    def test_reference_file_read_once(self, tmp_path, monkeypatch):
+        # a file reference cannot depend on the fold, so 5 folds read it once
+        ref_path = tmp_path / "reference.json"
+        ref_path.write_text(json.dumps({"quantiles": ProbGrid(30).levels.tolist()}))
+        reads = []
+
+        def recording_read(path, what):
+            reads.append(path)
+            return read_json(path, what)
+
+        read_json = mtdr.cli._read_json
+        monkeypatch.setattr(mtdr.cli, "_read_json", recording_read)
+        code, _ = self.run_loocv(tmp_path, "file.json", str(ref_path))
+        assert code == 0
+        assert reads == [str(ref_path)]
+
     def test_fold_reference_never_sees_held_out_response(self, monkeypatch):
         grid = ProbGrid.midpoint(30)
         pred, resp = small_samples(n=5, m=8, seed=41)
@@ -1060,6 +1076,23 @@ class TestExitCodes:
                 "node_grid size 1000000000000 does not match",
             ),
             ({**valid, "maps": [0.1, 0.2]}, "maps must be an array of equal-length"),
+            # an array that breaks the quantile or map invariant is named
+            (
+                {**valid, "maps": [maps[0], maps[1][::-1]]},
+                "maps[1]: map values must be nondecreasing",
+            ),
+            (
+                {**valid, "maps": [[*maps[0][:-1], 2.0], maps[1]]},
+                "maps[0]: map values must lie inside the domain",
+            ),
+            (
+                {**valid, "reference_quantiles": ref[::-1]},
+                "reference_quantiles: quantile values must be nondecreasing",
+            ),
+            (
+                {**valid, "reference_quantiles": [-1.0, *ref[1:]]},
+                "reference_quantiles: quantile values must lie inside the domain",
+            ),
             # nested arrays where flat ones belong, and a converged flag that
             # is a string, each named before any model is built
             (
@@ -1176,6 +1209,20 @@ class TestExitCodes:
                 "reference quantiles must be an array of numbers",
             ),
             ({"values": [0.1, 0.3, 0.6, 0.9]}, 'reference file lacks "quantiles"'),
+            # a quantile vector that breaks the invariant is named with its file
+            (
+                {"quantiles": [0.1, 0.5, 0.9]},
+                f"reference file {ref_path}: quantile vector length 3 does not"
+                " match grid size 4",
+            ),
+            (
+                {"quantiles": [0.9, 0.6, 0.3, 0.1]},
+                f"reference file {ref_path}: quantile values must be nondecreasing",
+            ),
+            (
+                {"quantiles": [0.1, 0.3, 0.6, 1.5]},
+                f"reference file {ref_path}: quantile values must lie inside the domain",
+            ),
         ]:
             ref_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             code = cli(

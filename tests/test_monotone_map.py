@@ -16,7 +16,7 @@ from mtdr.monotone_map import (
     pushforward,
 )
 from mtdr.quantile_core import Domain, ProbGrid, QuantileGrid
-from mtdr.simulation import sine_warp
+from mtdr.simulation import generate_dataset, sine_warp, single_predictor_scenario
 
 UNIT = Domain(0.0, 1.0)
 
@@ -71,8 +71,8 @@ class TestNodeGrid:
         ids=str,
     )
     def test_nodes_are_the_uniform_reference(self, domain, t):
-        # the cli's uniform reference, lo + width * levels, hits every node
-        # in its last bit, so every map reads there at its own node values
+        # the cli's uniform reference is built from the nodes, so every map
+        # reads there at its own node values
         dom = Domain(*domain)
         grid = NodeGrid(dom, t)
         subject = Subject((), QuantileGrid(dom, ProbGrid(t), np.full(t, dom.lo)))
@@ -81,6 +81,10 @@ class TestNodeGrid:
         assert np.all(_Interp(grid, reference).f == 0.0)
         T = MonotoneMap(grid, np.sort(np.random.default_rng(t).uniform(*domain, size=t)))
         assert np.array_equal(T(reference), T.values)
+        if dom == UNIT:  # the simulation's truth reference is the same grid
+            spec = single_predictor_scenario(0.5, n=1, m=2, reps=1)
+            truth = generate_dataset(spec, np.random.default_rng(0), t=t).truth
+            assert truth.reference.values.tobytes() == grid.nodes.tobytes()
 
     def test_matches(self):
         assert NodeGrid.uniform(UNIT, 6) == NodeGrid(UNIT, 6)
