@@ -11,8 +11,9 @@ mortality-like file that scripts/make_mortality_like.py writes by default
 every sample rounded to a multiple of 5 (ages in 5-year bands, fitted at
 t = 300, where the Frechet reference has flat stretches), a 6-subject file
 with 50 samples per variable (fitted and scored at t = 12000, a size at
-which BLAS sums split over threads), a reference JSON and two model and
-reference files that lack a field.  Each command line
+which BLAS sums split over threads), a reference JSON, a model and a
+reference file that lack a field, and a model and a reference file cut
+off mid-JSON.  Each command line
 runs in its own directory OUT/<case>, which ends up holding the files the
 command wrote plus ``argv``, ``exit`` (the exit code), ``stdout`` and
 ``stderr``.  Paths in the command lines are relative, and help text is
@@ -67,6 +68,8 @@ MODEL = "../fit_uniform/model.json"
 
 CASES = [
     ("simulate_single", _simulate("single", "0.5")),
+    # a pair alpha0,alpha1 is used as given, not rebuilt from alpha1
+    ("simulate_single_pair", _simulate("single", "0.3,0.7")),
     ("simulate_single_noise_-2,0,2", _simulate("single", "0.5", "--noise-orders=-2,0,2")),
     ("simulate_single_noise_0", _simulate("single", "0.5", "--noise-orders=0")),
     ("simulate_multi", _simulate("multi", "0.2,0.4,0.4")),
@@ -117,6 +120,10 @@ CASES = [
                                  "--data", DATA, "--out", "predictions.csv"]),
     ("error_reference_lacks_field", ["fit", *_fit_args("../inputs/reference_lacks_quantiles.json"),
                                      "--out", "model.json"]),
+    ("error_model_not_json", ["predict", "--model", "../inputs/model_not_json.json",
+                              "--data", DATA, "--out", "predictions.csv"]),
+    ("error_reference_not_json", ["fit", *_fit_args("../inputs/reference_not_json.json"),
+                                  "--out", "model.json"]),
     ("error_wrong_predictor_count", ["fit", "--data", DATA, "--p", "3", "--domain", "0,100",
                                      "--out", "model.json"]),
     ("error_outside_domain", ["fit", "--data", DATA, "--p", "2", "--domain", "0,50",
@@ -128,7 +135,8 @@ CASES = [
 
 
 def _write_inputs(inputs: str) -> None:
-    """The mortality-like files, a reference and two files lacking a field."""
+    """The mortality-like files, a reference, and model and reference files
+    that lack a field or are cut off mid-JSON."""
     pred, resp = mortality_like_samples(domain=Domain(0.0, 100.0))
     write_long_csv(os.path.join(inputs, "mortality_like.csv"), pred, resp)
     write_long_csv(os.path.join(inputs, "mortality_like_binned.csv"),
@@ -145,6 +153,11 @@ def _write_inputs(inputs: str) -> None:
         with open(os.path.join(inputs, name), "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    cut = {"model_not_json.json": '{"format_version": 1, "alpha": [0.5,',
+           "reference_not_json.json": '{"quantiles": [0.1,'}  # fmt: skip
+    for name, text in cut.items():
+        with open(os.path.join(inputs, name), "w") as fh:
+            fh.write(text)
 
 
 def _run(case_dir: str, argv: list) -> None:

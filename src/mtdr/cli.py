@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -274,7 +274,7 @@ def _read_json(path: str, what: str) -> dict:
     """The JSON object in a file, else a ValueError naming what the file is."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            doc = json.load(fh)
+            doc = _named(f"{what} {path}", json.load, fh)
         except RecursionError:
             raise ValueError(f"{what} is nested too deeply") from None
     return _typed(doc, dict, what)
@@ -586,13 +586,13 @@ def _cmd_simulate(args) -> int:
     size = dict(n=args.n, m=args.m, reps=args.reps, seed=args.seed, noise=noise)
     if args.scenario == "single":
         if len(args.alpha) == 1:
-            alpha1 = args.alpha[0]
-        elif len(args.alpha) == 2:
-            SimplexWeights.of(args.alpha)  # rejects pairs off the simplex
-            alpha1 = args.alpha[1]
+            spec = single_predictor_scenario(args.alpha[0], **size)
+        elif len(args.alpha) == 2:  # the pair as given, not rebuilt from alpha1
+            weights = SimplexWeights.of(args.alpha)
+            spec = single_predictor_scenario(weights.values[1], **size)
+            spec = replace(spec, weights=weights)
         else:
             raise ValueError("single scenario takes 1 or 2 alpha values")
-        spec = single_predictor_scenario(alpha1, **size)
     else:
         if len(args.alpha) != 3:
             raise ValueError("multi scenario takes 3 alpha values")
@@ -603,7 +603,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    res = ingest(args.data, args.domain, ProbGrid.midpoint(args.t), args.p)
+    res = ingest(args.data, args.domain, ProbGrid(args.t), args.p)
     reference = _resolve_reference(args.reference, res.dataset)
     fixed = None
     if args.fixed_weights is not None:
@@ -643,7 +643,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_loocv(args) -> int:
-    res = ingest(args.data, args.domain, ProbGrid.midpoint(args.t), args.p)
+    res = ingest(args.data, args.domain, ProbGrid(args.t), args.p)
     report = loocv(res.dataset, res.subject_ids, args.reference)
     _write_json(args.out, report)
     return 0

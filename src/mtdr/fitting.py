@@ -33,6 +33,7 @@ from .quantile_core import (
     Domain,
     ProbGrid,
     QuantileGrid,
+    _count,
     _guard_monotone,
     _readonly,
     _sumsq,
@@ -126,17 +127,19 @@ class FitConfig:
     """Stopping rule of the alternating fit.
 
     rel_tol >= 0 stops the fit once a kept iterate decreases the objective
-    by at most rel_tol * (initial objective); max_outer_iter >= 1 caps the
-    kept iterates (ordinary sweeps plus accepted stabilising sweeps, see
-    fit), so a fit runs at most 1.5 * max_outer_iter sweeps.
+    by at most rel_tol * (initial objective); the integer max_outer_iter >= 1
+    caps the kept iterates (ordinary sweeps plus accepted stabilising sweeps,
+    see fit), so a fit runs at most 1.5 * max_outer_iter sweeps.
     """
 
     max_outer_iter: int = 200
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_outer_iter < 1 or not self.rel_tol >= 0.0:
-            raise ValueError("need max_outer_iter >= 1 and rel_tol >= 0")
+        cap = _count(self.max_outer_iter, "max_outer_iter", 1)
+        object.__setattr__(self, "max_outer_iter", cap)
+        if not self.rel_tol >= 0.0:
+            raise ValueError(f"rel_tol must be at least 0, not {self.rel_tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,7 +454,7 @@ def fit(
     if fixed_weights is not None and fixed_weights.size != p + 1:
         raise ValueError("fixed weights must have length p + 1")
 
-    node_grid = NodeGrid.uniform(data.domain, data.prob_grid.size)
+    node_grid = NodeGrid(data.domain, data.prob_grid.size)
     identity = (MonotoneMap.identity(node_grid),) * (p + 1)
     obj = _Objective(data, reference, identity, fixed_weights)
     # the objective holds the live iterate; cycle states are copies of it

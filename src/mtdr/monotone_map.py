@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantile_core import Domain, ProbGrid, QuantileGrid
-from .quantile_core import _checked, _grid_size, _guard_monotone, _sumsq
+from .quantile_core import _checked, _count, _guard_monotone, _sumsq
 
 __all__ = [
     "NodeGrid",
@@ -44,19 +44,13 @@ class NodeGrid:
     knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _grid_size(self.t))
-        if self.t < 2:
-            raise ValueError("node grid size must be at least 2")
+        object.__setattr__(self, "t", _count(self.t, "node grid size", 2))
         dom, t = self.domain, self.t
         x = np.concatenate(([dom.lo], dom.lo + dom.width * ProbGrid(t).levels, [dom.hi]))
         if not np.all(x[1:] > x[:-1]):
             raise ValueError(f"domain [{x[0]}, {x[-1]}] cannot hold {t} distinct nodes")
         x.setflags(write=False)
         object.__setattr__(self, "knots", x)
-
-    @classmethod
-    def uniform(cls, domain: Domain, t: int) -> "NodeGrid":
-        return cls(domain, t)
 
     @property
     def size(self) -> int:

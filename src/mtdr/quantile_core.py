@@ -89,13 +89,7 @@ class ProbGrid:
     t: int
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _grid_size(self.t))
-        if self.t < 2:
-            raise ValueError("grid size must be at least 2")
-
-    @classmethod
-    def midpoint(cls, t: int) -> "ProbGrid":
-        return cls(t)
+        object.__setattr__(self, "t", _count(self.t, "grid size", 2))
 
     @property
     def size(self) -> int:
@@ -111,12 +105,15 @@ class ProbGrid:
         return 1.0 / self.t
 
 
-def _grid_size(t) -> int:
-    """t as an int, else a ValueError: a grid size counts levels or nodes."""
+def _count(value, what: str, least: int) -> int:
+    """value as an int of at least least, else a ValueError naming what."""
     try:
-        return operator.index(t)
+        count = operator.index(value)
     except TypeError:
-        raise ValueError("grid size must be an integer") from None
+        raise ValueError(f"{what} must be an integer") from None
+    if count < least:
+        raise ValueError(f"{what} must be at least {least}, not {count}")
+    return count
 
 
 def _check_common_gridding(a: "QuantileGrid", b: "QuantileGrid") -> None:

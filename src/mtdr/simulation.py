@@ -34,6 +34,7 @@ from .quantile_core import (
     Domain,
     ProbGrid,
     QuantileGrid,
+    _count,
     _guard_monotone,
     _type7_rows,
     wasserstein_distance,
@@ -75,16 +76,10 @@ def sine_warp(order: int, x):
     1, and deviates from the identity by at most 1 / (|k| pi).
     """
     k = _warp_order(order)
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not (-1e-9 <= arr.min() and arr.max() <= 1.0 + 1e-9):
-        raise ValueError("warp argument outside [0, 1]")
-    arr = np.clip(arr, 0.0, 1.0)
-    if k == 0:
-        out = arr.copy()
-    else:
-        out = arr - np.sin(np.pi * k * arr) / (abs(k) * np.pi)
-        out = np.clip(out, 0.0, 1.0)
-    return float(out) if np.isscalar(x) else out
+    arr = Domain.unit().clamp(x, "warp argument")
+    if k != 0:
+        arr = np.clip(arr - np.sin(np.pi * k * arr) / (abs(k) * np.pi), 0.0, 1.0)
+    return float(arr) if np.isscalar(x) else arr
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,9 @@ class ScenarioSpec:
 
     weights and warp_orders describe the true operator (entry j = 0 belongs
     to the uniform reference); beta_ranges[j] = ((a_lo, a_hi), (b_lo, b_hi))
-    gives the uniform law of the j-th predictor's Beta parameters.
+    gives the uniform law of the j-th predictor's Beta parameters.  The sizes
+    n (training subjects), m (samples per measure) and reps are integers of
+    at least 1, and seed is an integer of at least 0.
     """
 
     weights: SimplexWeights
@@ -158,8 +155,8 @@ class ScenarioSpec:
         for (a_lo, a_hi), (b_lo, b_hi) in self.beta_ranges:
             if not (0.0 < a_lo <= a_hi and 0.0 < b_lo <= b_hi):
                 raise ValueError("beta parameter ranges must be positive")
-        if self.n < 1 or self.m < 1 or self.reps < 1:
-            raise ValueError("n, m and reps must be at least 1")
+        for name, least in (("n", 1), ("m", 1), ("reps", 1), ("seed", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
         if not 0.0 <= self.test_fraction <= 1.0:
             raise ValueError("test fraction must lie in [0, 1]")
 
@@ -289,8 +286,8 @@ def generate_dataset(
     from scipy.special import betaincinv
 
     domain = Domain.unit()
-    grid = ProbGrid.midpoint(t)
-    node_grid = NodeGrid.uniform(domain, t)
+    grid = ProbGrid(t)
+    node_grid = NodeGrid(domain, t)
     n_total = spec.n + spec.n_test
     p = spec.p
 

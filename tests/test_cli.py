@@ -60,10 +60,17 @@ def sample_csv(path, n=5, m=10, p=1, seed=0):
     return pred, resp
 
 
+def _file_bytes(doc) -> bytes:
+    """A JSON file's bytes: bytes as given, text encoded, anything else dumped."""
+    if isinstance(doc, bytes):
+        return doc
+    return (doc if isinstance(doc, str) else json.dumps(doc)).encode()
+
+
 def identity_model(t=25):
-    grid = ProbGrid.midpoint(t)
+    grid = ProbGrid(t)
     reference = QuantileGrid(UNIT, grid, grid.levels.copy())
-    node_grid = NodeGrid.uniform(UNIT, t)
+    node_grid = NodeGrid(UNIT, t)
     maps = tuple(MonotoneMap(node_grid, node_grid.nodes.copy()) for _ in range(2))
     return MtdrModel(reference, maps, SimplexWeights.of([0.0, 1.0]))
 
@@ -81,7 +88,7 @@ class TestWriteIngestRoundTrip:
         gen = generate_dataset(spec, np.random.default_rng(11), t=40)
         path = tmp_path / "long.csv"
         write_long_csv(path, gen.samples.predictors, gen.samples.responses)
-        grid = ProbGrid.midpoint(40)
+        grid = ProbGrid(40)
         res = ingest(str(path), UNIT, grid, p=spec.p)
         n_total = gen.samples.predictors.shape[0]
         assert len(res.subject_ids) == n_total
@@ -103,7 +110,7 @@ class TestWriteIngestRoundTrip:
         pred, resp = small_samples(n=4, m=3)
         path = tmp_path / "long.csv"
         write_long_csv(path, pred, resp)
-        res = ingest(str(path), UNIT, ProbGrid.midpoint(6), p=1)
+        res = ingest(str(path), UNIT, ProbGrid(6), p=1)
         assert res.subject_ids == ("s001", "s002", "s003", "s004")
 
     def test_predictors_only(self, tmp_path):
@@ -111,7 +118,7 @@ class TestWriteIngestRoundTrip:
         path = tmp_path / "preds.csv"
         write_long_csv(path, pred)
         res = ingest(
-            str(path), UNIT, ProbGrid.midpoint(8), p=1, require_response=False
+            str(path), UNIT, ProbGrid(8), p=1, require_response=False
         )
         assert res.dataset.n == 3
         assert all(s.response is None for s in res.dataset.subjects)
@@ -124,7 +131,7 @@ class TestWriteIngestRoundTrip:
         results = []
         for name, rows in (("plain.csv", plain), ("padded.csv", padded)):
             write_rows(tmp_path / name, rows)
-            results.append(ingest(str(tmp_path / name), UNIT, ProbGrid.midpoint(5), p=1))
+            results.append(ingest(str(tmp_path / name), UNIT, ProbGrid(5), p=1))
         expected, got = results
         assert got.subject_ids == expected.subject_ids == ("a",)
         for mine, theirs in zip(got.dataset.subjects, expected.dataset.subjects):
@@ -142,7 +149,7 @@ class TestWriteIngestRoundTrip:
         ]
         path = tmp_path / "interleaved.csv"
         write_rows(path, rows)
-        grid = ProbGrid.midpoint(7)
+        grid = ProbGrid(7)
         res = ingest(str(path), UNIT, grid, p=1)
         assert res.subject_ids == ("b", "a", "c")
         for sid, subject in zip(res.subject_ids, res.dataset.subjects):
@@ -155,7 +162,7 @@ class TestWriteIngestRoundTrip:
         pred, resp = small_samples(n=2, m=4)
         path = tmp_path / "long.csv"
         write_long_csv(path, pred, resp, subject_ids=["DK", "SE"])
-        res = ingest(str(path), UNIT, ProbGrid.midpoint(5), p=1)
+        res = ingest(str(path), UNIT, ProbGrid(5), p=1)
         assert res.subject_ids == ("DK", "SE")
 
 
@@ -164,63 +171,63 @@ class TestIngestErrors:
         path = tmp_path / "bad.csv"
         write_rows(path, [["a", "pred1", "0.5"]], header=("id", "var", "val"))
         with pytest.raises(ValueError) as err:
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
         assert str(err.value) == "expected header subject_id,variable,value"
 
     def test_unknown_variable_with_row_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_rows(path, [["a", "pred1", "0.5"], ["a", "pred2", "0.5"]])
         with pytest.raises(ValueError) as err:
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
         assert str(err.value) == "row 3: unknown variable 'pred2'"
 
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_rows(path, [["a", "pred1", "abc"]])
         with pytest.raises(ValueError) as err:
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
         assert str(err.value) == "row 2: non-numeric value 'abc'"
 
     def test_non_finite_value(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_rows(path, [["a", "response", "inf"]])
         with pytest.raises(ValueError) as err:
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
         assert str(err.value) == "row 2: non-finite value"
 
     def test_out_of_domain_value(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_rows(path, [["a", "pred1", "1.5"]])
         with pytest.raises(ValueError) as err:
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
         assert str(err.value) == "row 2: value 1.5 outside domain [0.0, 1.0]"
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_rows(path, [["a", "pred1"]])
         with pytest.raises(ValueError) as err:
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
         assert str(err.value) == "row 2: expected 3 fields"
 
     def test_missing_variable_names_subject(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_rows(path, [["s7", "pred1", "0.25"], ["s7", "pred1", "0.75"]])
         with pytest.raises(ValueError) as err:
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
         assert str(err.value) == "subject 's7' is missing variable 'response'"
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_rows(path, [])
         with pytest.raises(ValueError, match="no data rows"):
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
 
     def test_blank_lines_count_toward_row_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
         with open(path, "w") as fh:
             fh.write("subject_id,variable,value\n\na,pred1,oops\n")
         with pytest.raises(ValueError) as err:
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
         assert str(err.value) == "row 3: non-numeric value 'oops'"
 
     @pytest.mark.parametrize(
@@ -242,14 +249,14 @@ class TestIngestErrors:
         path = tmp_path / "bad.csv"
         write_rows(path, [["a", "pred1", "0.5"], *rows])
         with pytest.raises(ValueError) as err:
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
         assert str(err.value) == message
 
     def test_unknown_variable_named_before_its_value(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_rows(path, [["a", "pred1", "0.5"], ["a", "pred9", "abc"]])
         with pytest.raises(ValueError) as err:
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
         assert str(err.value) == "row 3: unknown variable 'pred9'"
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", " NaN "])
@@ -258,7 +265,7 @@ class TestIngestErrors:
         rows = [["a", "pred1", "0.5"], ["a", "pred1", "0.25"], ["a", "pred1", raw]]
         write_rows(path, rows)
         with pytest.raises(ValueError) as err:
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
         assert str(err.value) == "row 4: non-finite value"
 
     def test_csv_error_after_bad_row_reports_bad_row(self, tmp_path):
@@ -266,11 +273,11 @@ class TestIngestErrors:
         huge = ["a", "pred1", "1" * (csv.field_size_limit() + 1)]
         write_rows(path, [["a", "pred1", "0.5"], ["a", "pred1", "oops"], huge])
         with pytest.raises(ValueError) as err:
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
         assert str(err.value) == "row 3: non-numeric value 'oops'"
         write_rows(path, [["a", "pred1", "0.5"], huge])
         with pytest.raises(ValueError) as err:
-            ingest(str(path), UNIT, ProbGrid.midpoint(4), p=1)
+            ingest(str(path), UNIT, ProbGrid(4), p=1)
         limit = csv.field_size_limit()
         assert str(err.value) == f"row 3: field larger than field limit ({limit})"
 
@@ -283,7 +290,7 @@ class TestIngestErrors:
                 ["a", "response", "0.5"],
             ],
         )
-        res = ingest(str(path), UNIT, ProbGrid.midpoint(3), p=1)
+        res = ingest(str(path), UNIT, ProbGrid(3), p=1)
         assert float(res.dataset.subjects[0].predictors[0].values[-1]) <= 1.0
 
 
@@ -471,7 +478,7 @@ class TestCliFitPredictEvaluate:
     def test_reference_file_escape_hatch(self, tmp_path):
         data = tmp_path / "train.csv"
         sample_csv(data, seed=33)
-        grid = ProbGrid.midpoint(30)
+        grid = ProbGrid(30)
         ref_path = tmp_path / "reference.json"
         quantiles = 0.1 + 0.8 * grid.levels
         ref_path.write_text(json.dumps({"quantiles": quantiles.tolist()}))
@@ -508,7 +515,7 @@ class TestCliFitPredictEvaluate:
         )
         assert code == 0
         model, _ = load_model(str(out))
-        res = ingest(str(data), UNIT, ProbGrid.midpoint(30), p=1)
+        res = ingest(str(data), UNIT, ProbGrid(30), p=1)
         responses = [s.response for s in res.dataset.subjects]
         lam = np.full(len(responses), 1.0 / len(responses))
         expected = frechet_mean(responses, lam)
@@ -700,6 +707,19 @@ class TestCliSimulate:
         assert doc["p"] == 2
         assert doc["alpha_star"] == [0.2, 0.4, 0.4]
 
+    def test_single_pair_is_used_as_given(self, tmp_path):
+        # not rebuilt as (1 - 0.7, 0.7), which is (0.30000000000000004, 0.7)
+        out = tmp_path / "pair"
+        code = cli(
+            ["simulate", "--scenario", "single", "--alpha", "0.3,0.7", "--n", "6",
+             "--m", "5", "--reps", "1", "--t", "30", "--out", str(out)]
+        )  # fmt: skip
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["alpha_star"] == [0.3, 0.7]
+        with open(out / "summary.csv", newline="") as fh:
+            header, first = list(csv.reader(fh))[:2]
+        assert first[header.index("alpha_star")] == "0.3;0.7"
+
     def test_study_script_writes_simulate_format(self, tmp_path):
         sim = tmp_path / "sim"
         assert cli(
@@ -792,7 +812,7 @@ class TestCliLoocv:
 
     def test_reference_file_matches_uniform(self, tmp_path):
         ref_path = tmp_path / "reference.json"
-        levels = ProbGrid.midpoint(30).levels
+        levels = ProbGrid(30).levels
         ref_path.write_text(json.dumps({"quantiles": levels.tolist()}))
         _, uniform = self.run_loocv(tmp_path, "uniform.json")
         code, from_file = self.run_loocv(tmp_path, "file.json", str(ref_path))
@@ -819,7 +839,7 @@ class TestCliLoocv:
         assert reads == [str(ref_path)]
 
     def test_fold_reference_never_sees_held_out_response(self, monkeypatch):
-        grid = ProbGrid.midpoint(30)
+        grid = ProbGrid(30)
         pred, resp = small_samples(n=5, m=8, seed=41)
         data = DataSet(
             tuple(
@@ -1172,11 +1192,17 @@ class TestExitCodes:
                 {**valid, "fit_report": {**report, "final_objective": -1.0}},
                 "fit_report final_objective -1.0 does not match the trajectory (0.5)",
             ),
+            # a file that is not JSON, or not UTF-8, is named with its kind and path
+            ('{"format_version": 1, "alpha": [0.5,', f"model file {model_path}: Expecting"),
+            (
+                b'\xff\xfe{"format_version": 1}',
+                f"model file {model_path}: 'utf-8' codec can't decode byte 0xff",
+            ),
         ]
         data = tmp_path / "d.csv"
         sample_csv(data, n=2, m=4, seed=43)
         for doc, message in cases:
-            model_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            model_path.write_bytes(_file_bytes(doc))
             code = cli(
                 ["predict", "--model", str(model_path), "--data", str(data),
                  "--out", str(tmp_path / "p.csv")]
@@ -1223,8 +1249,14 @@ class TestExitCodes:
                 {"quantiles": [0.1, 0.3, 0.6, 1.5]},
                 f"reference file {ref_path}: quantile values must lie inside the domain",
             ),
+            # so is a file that is not JSON, or not UTF-8
+            ('{"quantiles": [0.1,', f"reference file {ref_path}: Expecting value"),
+            (
+                b'\xff\xfe{"quantiles": []}',
+                f"reference file {ref_path}: 'utf-8' codec can't decode byte 0xff",
+            ),
         ]:
-            ref_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            ref_path.write_bytes(_file_bytes(doc))
             code = cli(
                 ["fit", "--data", str(data), "--p", "1", "--domain", "0,1",
                  "--t", "4", "--reference", str(ref_path),

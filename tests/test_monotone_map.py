@@ -28,17 +28,17 @@ def random_map(rng, grid):
 
 class TestNodeGrid:
     def test_uniform_midpoints(self):
-        g = NodeGrid.uniform(UNIT, 4)
+        g = NodeGrid(UNIT, 4)
         assert np.array_equal(g.knots, [0.0, 0.125, 0.375, 0.625, 0.875, 1.0])
 
     def test_scales_with_domain(self):
-        g = NodeGrid.uniform(Domain(0.0, 100.0), 5)
+        g = NodeGrid(Domain(0.0, 100.0), 5)
         assert g.knots[0] == 0.0 and g.knots[-1] == 100.0
         assert np.allclose(g.nodes, [10.0, 30.0, 50.0, 70.0, 90.0])
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
-            NodeGrid.uniform(UNIT, 1)
+            NodeGrid(UNIT, 1)
         with pytest.raises(ValueError, match="at least 2"):
             NodeGrid(UNIT, 0)
         for size in (4.5, 4.0, "4"):
@@ -87,39 +87,39 @@ class TestNodeGrid:
             assert truth.reference.values.tobytes() == grid.nodes.tobytes()
 
     def test_matches(self):
-        assert NodeGrid.uniform(UNIT, 6) == NodeGrid(UNIT, 6)
-        assert hash(NodeGrid.uniform(UNIT, 6)) == hash(NodeGrid(UNIT, 6))
+        assert NodeGrid(UNIT, 6) == NodeGrid(UNIT, 6)
+        assert hash(NodeGrid(UNIT, 6)) == hash(NodeGrid(UNIT, 6))
         assert "knots" not in repr(NodeGrid(UNIT, 6))
-        assert NodeGrid.uniform(UNIT, 6) != NodeGrid.uniform(UNIT, 7)
-        assert NodeGrid.uniform(UNIT, 6) != NodeGrid.uniform(Domain(0.0, 2.0), 6)
+        assert NodeGrid(UNIT, 6) != NodeGrid(UNIT, 7)
+        assert NodeGrid(UNIT, 6) != NodeGrid(Domain(0.0, 2.0), 6)
 
 
 class TestMonotoneMap:
     def test_identity_fixed_points(self):
-        grid = NodeGrid.uniform(UNIT, 10)
+        grid = NodeGrid(UNIT, 10)
         ident = MonotoneMap.identity(grid)
         x = np.linspace(0.0, 1.0, 33)
         assert np.allclose(ident(x), x, atol=1e-15)
 
     def test_eval_at_nodes_exact(self, rng):
-        grid = NodeGrid.uniform(UNIT, 12)
+        grid = NodeGrid(UNIT, 12)
         T = random_map(rng, grid)
         assert np.array_equal(np.asarray(T(grid.nodes)), T.values)
 
     def test_endpoints_pinned_to_domain(self, rng):
-        grid = NodeGrid.uniform(UNIT, 7)
+        grid = NodeGrid(UNIT, 7)
         T = random_map(rng, grid)
         # knots extend through (lo, lo) and (hi, hi)
         assert T(0.0) == 0.0 and T(1.0) == 1.0
 
     def test_interpolation_error_against_direct_formula(self):
-        grid = NodeGrid.uniform(UNIT, 200)
+        grid = NodeGrid(UNIT, 200)
         T = MonotoneMap(grid, sine_warp(1, grid.nodes))
         x = np.linspace(0.0, 1.0, 501)
         assert np.max(np.abs(np.asarray(T(x)) - sine_warp(1, x))) < 5e-4
 
     def test_validation(self):
-        grid = NodeGrid.uniform(UNIT, 3)
+        grid = NodeGrid(UNIT, 3)
         with pytest.raises(ValueError, match="nondecreasing"):
             MonotoneMap(grid, np.array([0.5, 0.2, 0.8]))
         with pytest.raises(ValueError, match="inside the domain"):
@@ -131,7 +131,7 @@ class TestMonotoneMap:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_eval_is_monotone(self, seed):
         rng = np.random.default_rng(seed)
-        grid = NodeGrid.uniform(UNIT, 9)
+        grid = NodeGrid(UNIT, 9)
         T = random_map(rng, grid)
         x = np.sort(rng.uniform(size=25))
         out = np.asarray(T(x))
@@ -180,12 +180,12 @@ class TestInterp:
 
 class TestMapL2Distance:
     def test_zero_on_self(self, rng):
-        grid = NodeGrid.uniform(UNIT, 15)
+        grid = NodeGrid(UNIT, 15)
         T = random_map(rng, grid)
         assert map_l2_distance(T, T) == 0.0
 
     def test_identity_vs_first_warp_closed_form(self):
-        grid = NodeGrid.uniform(UNIT, 2000)
+        grid = NodeGrid(UNIT, 2000)
         ident = MonotoneMap.identity(grid)
         warped = MonotoneMap(grid, sine_warp(1, grid.nodes))
         # L2 norm of sin(pi x)/pi on [0, 1]
@@ -194,15 +194,15 @@ class TestMapL2Distance:
         )
 
     def test_symmetry_and_mismatch(self, rng):
-        grid = NodeGrid.uniform(UNIT, 9)
+        grid = NodeGrid(UNIT, 9)
         a, b = random_map(rng, grid), random_map(rng, grid)
         assert map_l2_distance(a, b) == map_l2_distance(b, a)
         with pytest.raises(ValueError, match="node grid mismatch"):
-            map_l2_distance(a, random_map(rng, NodeGrid.uniform(UNIT, 10)))
+            map_l2_distance(a, random_map(rng, NodeGrid(UNIT, 10)))
 
     def test_normalized_by_domain_width(self):
         dom = Domain(0.0, 4.0)
-        grid = NodeGrid.uniform(dom, 100)
+        grid = NodeGrid(dom, 100)
         lowered = MonotoneMap(grid, np.clip(grid.nodes - 1.0, 0.0, 4.0))
         ident = MonotoneMap.identity(grid)
         # difference is x on [0,1] and 1 on [1,4]: integral 10/3 over width 4
@@ -212,46 +212,46 @@ class TestMapL2Distance:
 
     def test_root_mean_square_of_node_gaps(self, rng):
         # every cell is 1/t of the domain, so the quadrature is a plain mean
-        grid = NodeGrid.uniform(Domain(-3.0, 7.0), 257)
+        grid = NodeGrid(Domain(-3.0, 7.0), 257)
         a, b = (MonotoneMap(grid, np.sort(rng.uniform(-3.0, 7.0, 257))) for _ in "ab")
         assert map_l2_distance(a, b) == np.sqrt(np.mean((a.values - b.values) ** 2))
 
 
 class TestPushforward:
     def test_identity_keeps_measure(self, rng):
-        grid = NodeGrid.uniform(UNIT, 11)
-        prob = ProbGrid.midpoint(11)
+        grid = NodeGrid(UNIT, 11)
+        prob = ProbGrid(11)
         mu = QuantileGrid(UNIT, prob, np.sort(rng.uniform(size=11)))
         out = pushforward(MonotoneMap.identity(grid), mu)
         assert np.allclose(out.values, mu.values, atol=1e-15)
 
     def test_uniform_through_warp(self):
         t = 300
-        grid = NodeGrid.uniform(UNIT, t)
-        prob = ProbGrid.midpoint(t)
+        grid = NodeGrid(UNIT, t)
+        prob = ProbGrid(t)
         mu = QuantileGrid(UNIT, prob, prob.levels)
         T = MonotoneMap(grid, sine_warp(2, grid.nodes))
         out = pushforward(T, mu)
         assert np.max(np.abs(out.values - sine_warp(2, prob.levels))) < 1e-4
 
     def test_result_is_valid_grid(self, rng):
-        grid = NodeGrid.uniform(UNIT, 20)
-        prob = ProbGrid.midpoint(20)
+        grid = NodeGrid(UNIT, 20)
+        prob = ProbGrid(20)
         mu = QuantileGrid(UNIT, prob, np.sort(rng.uniform(size=20)))
         out = pushforward(random_map(rng, grid), mu)
         assert np.all(np.diff(out.values) >= 0.0)
         assert out.domain == mu.domain
 
     def test_domain_mismatch(self, rng):
-        grid = NodeGrid.uniform(Domain(0.0, 2.0), 6)
-        prob = ProbGrid.midpoint(6)
+        grid = NodeGrid(Domain(0.0, 2.0), 6)
+        prob = ProbGrid(6)
         mu = QuantileGrid(UNIT, prob, np.sort(rng.uniform(size=6)))
         with pytest.raises(ValueError, match="domain mismatch"):
             pushforward(MonotoneMap.identity(grid), mu)
 
     def test_quantile_identity_with_map_eval(self, rng):
-        grid = NodeGrid.uniform(UNIT, 16)
-        prob = ProbGrid.midpoint(16)
+        grid = NodeGrid(UNIT, 16)
+        prob = ProbGrid(16)
         mu = QuantileGrid(UNIT, prob, np.sort(rng.uniform(size=16)))
         T = random_map(rng, grid)
         out = pushforward(T, mu)

@@ -43,3 +43,30 @@ def test_import_leaves_out_scipy_special():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_commands_without_simulation_leave_out_scipy(tmp_path):
+    # fit, loocv, predict and evaluate run on numpy alone; scipy.optimize in
+    # the fit would add about 23 MiB to the resident size of every command
+    code = """if True:
+        import sys
+        import numpy as np
+        from mtdr.cli import cli, write_long_csv
+
+        rng = np.random.default_rng(0)  # plain samples: Beta draws need scipy
+        write_long_csv("d.csv", rng.random((5, 1, 20)), rng.random((5, 20)))
+        data = ["--data", "d.csv", "--p", "1", "--domain", "0,1", "--t", "20"]
+        assert cli(["fit", *data, "--out", "m.json"]) == 0
+        assert cli(["loocv", *data, "--out", "l.json"]) == 0
+        scored = ["--model", "m.json", "--data", "d.csv"]
+        assert cli(["predict", *scored, "--out", "p.csv"]) == 0
+        assert cli(["evaluate", *scored]) == 0
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

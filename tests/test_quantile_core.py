@@ -28,7 +28,7 @@ def uniform_grid(domain, grid):
 
 
 def random_quantile_grid(rng, domain=UNIT, t=16):
-    grid = ProbGrid.midpoint(t)
+    grid = ProbGrid(t)
     vals = np.sort(rng.uniform(domain.lo, domain.hi, size=t))
     return QuantileGrid(domain, grid, vals)
 
@@ -59,7 +59,7 @@ class TestDomain:
 
 class TestProbGrid:
     def test_midpoint_levels(self):
-        g = ProbGrid.midpoint(4)
+        g = ProbGrid(4)
         assert np.allclose(g.levels, [0.125, 0.375, 0.625, 0.875])
         assert g.size == 4 and g.step == 0.25
 
@@ -73,7 +73,7 @@ class TestProbGrid:
         with pytest.raises(ValueError, match="at least 2"):
             ProbGrid(1)
         with pytest.raises(ValueError, match="at least 2"):
-            ProbGrid.midpoint(0)
+            ProbGrid(0)
         for size in (2.5, 5.0, "5"):
             with pytest.raises(ValueError, match="grid size must be an integer"):
                 ProbGrid(size)
@@ -81,18 +81,19 @@ class TestProbGrid:
         assert type(ProbGrid(np.int64(5)).size) is int
 
     def test_matches(self):
-        assert ProbGrid.midpoint(5) == ProbGrid(5)
-        assert ProbGrid.midpoint(5) != ProbGrid.midpoint(6)
+        assert ProbGrid(5) == ProbGrid(5)
+        assert hash(ProbGrid(5)) == hash(ProbGrid(5))
+        assert ProbGrid(5) != ProbGrid(6)
 
 
 class TestQuantileGrid:
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError, match="nondecreasing"):
-            QuantileGrid(UNIT, ProbGrid.midpoint(3), np.array([0.5, 0.4, 0.6]))
+            QuantileGrid(UNIT, ProbGrid(3), np.array([0.5, 0.4, 0.6]))
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError, match="inside the domain"):
-            QuantileGrid(UNIT, ProbGrid.midpoint(3), np.array([0.1, 0.5, 1.5]))
+            QuantileGrid(UNIT, ProbGrid(3), np.array([0.1, 0.5, 1.5]))
 
 
 @pytest.mark.parametrize(
@@ -147,28 +148,28 @@ class TestGuardMonotone:
 
 class TestQuantileFromSamples:
     def test_two_point_sample_hand_values(self):
-        grid = ProbGrid.midpoint(4)
+        grid = ProbGrid(4)
         qg = quantile_from_samples([0.2, 0.8], UNIT, grid)
         assert np.allclose(qg.values, [0.275, 0.425, 0.575, 0.725], atol=1e-15)
 
     def test_degenerate_sample(self):
-        qg = quantile_from_samples([0.3] * 9, UNIT, ProbGrid.midpoint(6))
+        qg = quantile_from_samples([0.3] * 9, UNIT, ProbGrid(6))
         assert np.all(qg.values == 0.3)
 
     def test_uniform_monte_carlo_identity(self):
         rng = np.random.default_rng(77)
-        grid = ProbGrid.midpoint(100)
+        grid = ProbGrid(100)
         qg = quantile_from_samples(rng.uniform(size=10**5), UNIT, grid)
         assert np.max(np.abs(qg.values - grid.levels)) < 0.01
 
     def test_empty_and_invalid(self):
         with pytest.raises(ValueError, match="empty sample"):
-            quantile_from_samples([], UNIT, ProbGrid.midpoint(3))
+            quantile_from_samples([], UNIT, ProbGrid(3))
         with pytest.raises(ValueError):
-            quantile_from_samples([0.2, 2.0], UNIT, ProbGrid.midpoint(3))
+            quantile_from_samples([0.2, 2.0], UNIT, ProbGrid(3))
 
     def test_band_overshoot_clipped(self):
-        qg = quantile_from_samples([-1e-11, 1.0 + 1e-11], UNIT, ProbGrid.midpoint(4))
+        qg = quantile_from_samples([-1e-11, 1.0 + 1e-11], UNIT, ProbGrid(4))
         assert qg.values.min() >= 0.0 and qg.values.max() <= 1.0
 
 
@@ -189,7 +190,7 @@ class TestType7Rows:
         shape = (m,) if rows is None else (rows, m)
         for t in (2, 3, 7, 299, 300, 499):
             samples = self.SAMPLES[kind](rng, shape)
-            grid = ProbGrid.midpoint(t)
+            grid = ProbGrid(t)
             expected = np.quantile(samples, grid.levels, axis=-1, method="linear").T
             got = _type7_rows(samples, grid)
             assert got.shape == expected.shape
@@ -198,13 +199,13 @@ class TestType7Rows:
     def test_leaves_samples_unchanged(self):
         samples = np.random.default_rng(5).random((3, 20))
         before = samples.copy()
-        _type7_rows(samples, ProbGrid.midpoint(9))
+        _type7_rows(samples, ProbGrid(9))
         assert np.array_equal(samples, before)
 
 
 class TestWassersteinDistance:
     def test_identity_and_translation(self):
-        grid = ProbGrid.midpoint(50)
+        grid = ProbGrid(50)
         dom = Domain(0.0, 3.0)
         mu = QuantileGrid(dom, grid, 0.5 + grid.levels)
         nu = QuantileGrid(dom, grid, 0.9 + grid.levels)
@@ -212,15 +213,15 @@ class TestWassersteinDistance:
         assert wasserstein_distance(mu, nu) == pytest.approx(0.4, abs=1e-12)
 
     def test_uniform_scaling_closed_form(self):
-        grid = ProbGrid.midpoint(1000)
+        grid = ProbGrid(1000)
         dom = Domain(0.0, 2.0)
         mu = QuantileGrid(dom, grid, grid.levels)
         nu = QuantileGrid(dom, grid, 2.0 * grid.levels)
         assert wasserstein_distance(mu, nu) == pytest.approx(1 / np.sqrt(3), abs=2e-3)
 
     def test_grid_mismatch(self):
-        a = uniform_grid(UNIT, ProbGrid.midpoint(4))
-        b = uniform_grid(UNIT, ProbGrid.midpoint(5))
+        a = uniform_grid(UNIT, ProbGrid(4))
+        b = uniform_grid(UNIT, ProbGrid(5))
         with pytest.raises(ValueError, match="grid mismatch"):
             wasserstein_distance(a, b)
 
@@ -242,7 +243,7 @@ class TestFrechetMean:
         assert np.array_equal(out.values, mu.values)
 
     def test_two_uniforms(self):
-        grid = ProbGrid.midpoint(100)
+        grid = ProbGrid(100)
         dom = Domain(0.0, 2.0)
         mu = QuantileGrid(dom, grid, grid.levels)
         nu = QuantileGrid(dom, grid, 2.0 * grid.levels)
@@ -250,7 +251,7 @@ class TestFrechetMean:
         assert np.allclose(out.values, 1.5 * grid.levels, atol=1e-15)
 
     def test_constant_linearity(self):
-        grid = ProbGrid.midpoint(6)
+        grid = ProbGrid(6)
         a = QuantileGrid(UNIT, grid, np.full(6, 0.2))
         b = QuantileGrid(UNIT, grid, np.full(6, 0.8))
         out = frechet_mean([a, b], [0.25, 0.75])

@@ -150,6 +150,30 @@ class TestScenarioSpec:
             )
 
 
+    @pytest.mark.parametrize(
+        "size, message",
+        [
+            ({"n": 20.5}, "n must be an integer"),
+            ({"m": 30.5}, "m must be an integer"),
+            ({"reps": 1.5}, "reps must be an integer"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": -1}, "seed must be at least 0, not -1"),
+            ({"n": 0}, "n must be at least 1, not 0"),
+            ({"reps": 0}, "reps must be at least 1, not 0"),
+        ],
+    )
+    def test_sizes_are_counts(self, size, message):
+        # each bad size fails where the scenario is built, naming its field,
+        # not later inside run_replications
+        with pytest.raises(ValueError, match=message):
+            single_predictor_scenario(0.5, **size)
+
+    def test_numpy_integer_sizes_read_as_int(self):
+        spec = single_predictor_scenario(0.5, n=np.int64(10), seed=np.uint8(3))
+        assert (spec.n, spec.seed) == (10, 3)
+        assert type(spec.n) is int and type(spec.seed) is int
+
+
 class TestGenerateDataset:
     def test_shapes_and_split(self):
         spec = single_predictor_scenario(0.5, n=10, m=8, reps=1, seed=0)
@@ -224,7 +248,7 @@ class TestMetrics:
     def test_rmse_and_awd_hand_values(self, rng):
         from mtdr.quantile_core import ProbGrid, QuantileGrid
 
-        grid = ProbGrid.midpoint(10)
+        grid = ProbGrid(10)
         dom = Domain(0.0, 2.0)
         base = QuantileGrid(dom, grid, grid.levels)
         off1 = QuantileGrid(dom, grid, grid.levels + 0.1)

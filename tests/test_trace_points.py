@@ -41,7 +41,7 @@ def test_fit_calls_the_patched_solvers(monkeypatch):
             return _solver(*args)
 
         monkeypatch.setattr(fitting, name, counted)
-    grid = ProbGrid.midpoint(20)
+    grid = ProbGrid(20)
     quantiles = np.sort(np.random.default_rng(4).uniform(size=(6, 2, 20)))
     subjects = (
         fitting.Subject((QuantileGrid(UNIT, grid, x),), QuantileGrid(UNIT, grid, y))
