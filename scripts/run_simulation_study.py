@@ -17,8 +17,10 @@ through mtdr.cli.write_study, the writer of `mtdr simulate`, so both files
 have the format of that command's summary.csv and summary.json with the
 study name as the scenario; transport_equivalence.json also carries the
 fixed-weight metrics.  overview.json holds the wall time of each study.
-The full suite took about 4.5 min (275 s) on two cores; --quick runs a
-reduced suite in about 3.5 s (3.2-4.0 s) on the same two cores.
+Each study fits its replications on one worker per usable CPU.  The full
+suite took about 1.5 min (79 s and 92 s) on two cores with one BLAS thread,
+where one replication at a time took 174 s; --quick runs a reduced suite in
+about 1.5 s (1.3-1.8 s) on the same two cores.
 """
 
 import argparse
@@ -26,7 +28,7 @@ import json
 import os
 import time
 
-from mtdr.cli import write_study
+from mtdr.cli import _parse_count, write_study
 from mtdr.simulation import (
     multi_predictor_scenario,
     run_replications,
@@ -38,8 +40,8 @@ from mtdr.solvers import SimplexWeights
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--reps", type=int, default=30)
-    parser.add_argument("--t", type=int, default=1000, help="grid size")
+    parser.add_argument("--reps", type=_parse_count(1), default=30)
+    parser.add_argument("--t", type=_parse_count(2), default=1000, help="grid size")
     parser.add_argument(
         "--quick", action="store_true",
         help="reduced sizes for a fast smoke run (changes the numbers)",

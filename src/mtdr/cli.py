@@ -41,6 +41,7 @@ from .quantile_core import (
 from .simulation import (
     NoiseSpec,
     StudySummary,
+    _pmap,
     awd,
     multi_predictor_scenario,
     rmse,
@@ -276,7 +277,7 @@ def _read_json(path: str, what: str) -> dict:
         try:
             doc = _named(f"{what} {path}", json.load, fh)
         except RecursionError:
-            raise ValueError(f"{what} is nested too deeply") from None
+            raise ValueError(f"{what} {path}: nested too deeply") from None
     return _typed(doc, dict, what)
 
 
@@ -394,41 +395,49 @@ def loocv(data: DataSet, subject_ids, reference_choice: str) -> dict:
     The predictor count, domain and probability grid are those of the data.
     A uniform or file reference is resolved once; a frechet reference is
     resolved per fold from the training subjects, so it never sees the
-    held-out response.  Returns the report document with each fold's
-    distance, weights, and the iterations and converged flag of its fit;
-    the reported awd is the mean of the fold distances.
+    held-out response.  References are resolved here, then the folds are
+    fitted in parallel (see simulation._pmap).  Returns the report document
+    with each fold's distance, weights, and the iterations and converged
+    flag of its fit; the reported awd is the mean of the fold distances.
     """
     if data.n < 2:
         raise ValueError("leave-one-out needs at least two subjects")
     if not data.has_responses:
         raise ValueError("leave-one-out needs responses")
-    per_fold = reference_choice == "frechet"
-    reference = None if per_fold else _resolve_reference(reference_choice, data)
-    folds = []
-    distances = []
-    for i in range(data.n):
-        rest = DataSet(tuple(s for j, s in enumerate(data.subjects) if j != i))
-        if per_fold:
-            reference = _resolve_reference(reference_choice, rest)
-        model, report = fit(rest, data.p, reference)
-        held = data.subjects[i]
-        dist = wasserstein_distance(held.response, predict(model, held.predictors))
-        distances.append(dist)
-        folds.append(
-            {
-                "subject_id": subject_ids[i],
-                "distance": dist,
-                "alpha": model.weights.values.tolist(),
-                "iterations": report.iterations,
-                "converged": report.converged,
-            }
-        )
+    rests = [
+        DataSet(tuple(s for j, s in enumerate(data.subjects) if j != i))
+        for i in range(data.n)
+    ]
+    if reference_choice == "frechet":
+        references = [_resolve_reference(reference_choice, rest) for rest in rests]
+    else:
+        references = [_resolve_reference(reference_choice, data)] * data.n
+    scored = _pmap(_fold, (data, rests, references), data.n)
+    folds = [
+        {
+            "subject_id": sid,
+            "distance": dist,
+            "alpha": alpha,
+            "iterations": iterations,
+            "converged": converged,
+        }
+        for sid, (dist, alpha, iterations, converged) in zip(subject_ids, scored)
+    ]
     return {
         "format_version": FORMAT_VERSION,
         "reference": reference_choice,
         "folds": folds,
-        "awd": float(np.mean(distances)),
+        "awd": float(np.mean([dist for dist, *_ in scored])),
     }
+
+
+def _fold(state, i: int):
+    """Fold i: fit without subject i, then score its prediction."""
+    data, rests, references = state
+    model, report = fit(rests[i], data.p, references[i])
+    held = data.subjects[i]
+    dist = wasserstein_distance(held.response, predict(model, held.predictors))
+    return dist, model.weights.values.tolist(), report.iterations, report.converged
 
 
 # -- study summaries ----------------------------------------------------------

@@ -11,12 +11,14 @@ Each design choice is stated in one place: the warp orders and Beta ranges
 of every scenario in the table _DESIGNS, the default response distortion in
 NoiseSpec(), the model response in _respond, the empirical estimator in
 quantile_core._type7_rows, and which maps are identifiable (those with a
-nonzero true weight) in run_replications, whose map_errs carry it.
+nonzero true weight) in _replicate, whose map_errs carry it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -405,6 +407,75 @@ class StudySummary:
         return StudySummary(spec, t, results, metrics)
 
 
+_TASK = None  # (fn, state) of the pool this process works for
+
+
+def _start(fn, state) -> None:
+    global _TASK
+    _TASK = fn, state
+
+
+def _call(i):
+    fn, state = _TASK
+    return fn(state, i)
+
+
+def _pmap(fn, state, count: int) -> list:
+    """[fn(state, i) for i in range(count)], on one forked worker per usable CPU.
+
+    Workers fork from this process, so they inherit state and fn; only the
+    indices and the results are pickled, and results come back in index
+    order.  Without a second task or a second usable CPU (as
+    os.sched_getaffinity counts them, so taskset limits the workers),
+    without fork, or inside a pool worker, the same calls run here, one
+    after another.  An exception raised by fn is raised here.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, count)
+    loaded = sys.modules.get("multiprocessing")
+    nested = loaded is not None and loaded.current_process().daemon
+    if workers < 2 or not hasattr(os, "fork") or nested:
+        return [fn(state, i) for i in range(count)]
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    # leaving the block on an error terminates and joins the workers
+    with context.Pool(workers, _start, (fn, state)) as pool:
+        results = pool.map(_call, range(count), chunksize=1)
+        pool.close()
+        pool.join()
+    return results
+
+
+def _replicate(state, r: int) -> RepResult:
+    """Replication r of a study: generate from seed child r, fit, score."""
+    spec, t, fixed_weights, children = state
+    rng = np.random.default_rng(children[r])
+    gen = generate_dataset(spec, rng, t=t)
+    model, report = fit(
+        gen.train, spec.p, gen.truth.reference, fixed_weights=fixed_weights
+    )
+    seminorm = predictive_seminorm(model, gen.truth, gen.test_exact)
+    diff = model.weights.values - spec.weights.values
+    weight_err = abs(diff[1]) if spec.p == 1 else float(np.linalg.norm(diff))
+    map_errs = tuple(  # None where the true weight is 0: not identifiable
+        map_l2_distance(fitted, true) if a > 0.0 else None
+        for fitted, true, a in zip(model.maps, gen.truth.maps, spec.weights.values)
+    )
+    preds = [predict(model, s.predictors) for s in gen.test.subjects]
+    actuals = [s.response for s in gen.test.subjects]
+    return RepResult(
+        pred_seminorm_err=seminorm,
+        weight_err=weight_err,
+        map_errs=map_errs,
+        rmse=rmse(preds, actuals),
+        fitted_weights=tuple(model.weights.values.tolist()),
+        iterations=report.iterations,
+        converged=report.converged,
+        trajectory=report.trajectory,
+    )
+
+
 def run_replications(
     spec: ScenarioSpec,
     t: int = 1000,
@@ -413,7 +484,8 @@ def run_replications(
     """Run a full Monte Carlo study: generate, fit, score, aggregate.
 
     Replications are generated on grids of size t from seeds spawned from
-    the scenario seed, so results are a pure function of the arguments.
+    the scenario seed, so results are a pure function of the arguments;
+    they run in parallel (see _pmap) and come back in order.
     The reported metrics are the predictive seminorm distance to the truth
     on the exact test predictors, the weight error (absolute for one
     predictor, Euclidean otherwise), the map L2 errors where identifiable,
@@ -422,34 +494,10 @@ def run_replications(
     if spec.n_test < 1:
         raise ValueError("scenario needs a nonempty test set")
     children = np.random.SeedSequence(spec.seed).spawn(spec.reps)
-    results = []
-    for r in range(spec.reps):
-        rng = np.random.default_rng(children[r])
-        gen = generate_dataset(spec, rng, t=t)
-        model, report = fit(
-            gen.train, spec.p, gen.truth.reference, fixed_weights=fixed_weights
-        )
-        seminorm = predictive_seminorm(model, gen.truth, gen.test_exact)
-        diff = model.weights.values - spec.weights.values
-        weight_err = abs(diff[1]) if spec.p == 1 else float(np.linalg.norm(diff))
-        map_errs = tuple(  # None where the true weight is 0: not identifiable
-            map_l2_distance(fitted, true) if a > 0.0 else None
-            for fitted, true, a in zip(model.maps, gen.truth.maps, spec.weights.values)
-        )
-        preds = [predict(model, s.predictors) for s in gen.test.subjects]
-        actuals = [s.response for s in gen.test.subjects]
-        results.append(
-            RepResult(
-                pred_seminorm_err=seminorm,
-                weight_err=weight_err,
-                map_errs=map_errs,
-                rmse=rmse(preds, actuals),
-                fitted_weights=tuple(model.weights.values.tolist()),
-                iterations=report.iterations,
-                converged=report.converged,
-                trajectory=report.trajectory,
-            )
-        )
+    # loaded here, workers inherit it; else each would import it anew
+    import scipy.special  # noqa: F401
+
+    results = _pmap(_replicate, (spec, t, fixed_weights, children), spec.reps)
     return StudySummary.aggregate(spec, t, results)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -746,6 +747,18 @@ class TestCliSimulate:
         doc = json.loads((out / "transport_equivalence.json").read_text())
         assert set(doc["fixed_weight_metrics"]) == set(doc["metrics"])
 
+    @pytest.mark.parametrize("flag, value", [("--t", "1"), ("--reps", "0")])
+    def test_study_script_size_is_usage_error(self, tmp_path, flag, value):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "run_simulation_study.py"),
+             "--quick", flag, value, "--out", str(tmp_path / "study")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )  # fmt: skip
+        assert proc.returncode == 2
+        assert "must be at least" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_noise_orders(self, tmp_path, capsys):
         args = ["simulate", "--scenario", "single", "--alpha", "0.5", "--n", "4",
                 "--m", "4", "--reps", "1", "--t", "20", "--out", str(tmp_path)]  # fmt: skip
@@ -918,6 +931,69 @@ class TestCliLoocv:
         assert "at least two subjects" in capsys.readouterr().err
 
 
+class TestWorkerPool:
+    """loocv folds and simulate replications run on one worker per usable CPU."""
+
+    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path):
+        # the same commands pinned to one CPU, which runs them serially, and
+        # free to use every CPU; on a one-CPU machine both sides are serial
+        sample_csv(tmp_path / "d.csv", n=6, m=12, seed=45)
+        code = """if True:
+            import os, sys
+            from mtdr.cli import cli
+
+            if sys.argv[1] == "pinned":
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            os.makedirs(sys.argv[1])
+            os.chdir(sys.argv[1])
+            assert cli(["loocv", "--data", "../d.csv", "--p", "1", "--domain", "0,1",
+                        "--t", "20", "--reference", "frechet", "--out", "loocv.json"]) == 0
+            assert cli(["simulate", "--scenario", "single", "--alpha", "0.5",
+                        "--n", "8", "--m", "10", "--reps", "3", "--seed", "5",
+                        "--t", "20", "--out", "study"]) == 0
+        """
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        for side in ("pinned", "free"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, side],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )  # fmt: skip
+            assert proc.returncode == 0, proc.stderr
+        for name in ("loocv.json", "study/summary.csv", "study/summary.json"):
+            pinned = (tmp_path / "pinned" / name).read_bytes()
+            assert pinned == (tmp_path / "free" / name).read_bytes(), name
+
+    def test_no_process_left_behind(self, tmp_path):
+        sample_csv(tmp_path / "d.csv", n=4, m=8, seed=46)
+        code = cli(
+            ["loocv", "--data", str(tmp_path / "d.csv"), "--p", "1",
+             "--domain", "0,1", "--t", "20", "--out", str(tmp_path / "r.json")]
+        )  # fmt: skip
+        assert code == 0
+        assert multiprocessing.active_children() == []
+
+    def test_fold_error_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        # the third fold fails inside whichever process fits it; workers fork
+        # after the patch, so they run the failing fold too
+        sample_csv(tmp_path / "d.csv", n=5, m=8, seed=47)
+        fold = mtdr.cli._fold
+
+        def failing_fold(state, i):
+            if i == 2:
+                raise ValueError("fold 3 failed")
+            return fold(state, i)
+
+        monkeypatch.setattr(mtdr.cli, "_fold", failing_fold)
+        code = cli(
+            ["loocv", "--data", str(tmp_path / "d.csv"), "--p", "1",
+             "--domain", "0,1", "--t", "20", "--out", str(tmp_path / "r.json")]
+        )  # fmt: skip
+        assert code == 1
+        assert capsys.readouterr().err == "error: fold 3 failed\n"
+        assert not (tmp_path / "r.json").exists()
+        assert multiprocessing.active_children() == []
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
         code = cli(["fit", "--bogus", "1"])
@@ -1060,7 +1136,7 @@ class TestExitCodes:
             ({**valid, "format_version": True}, "format_version must be an integer"),
             ({**valid, "format_version": 1.0}, "format_version must be an integer"),
             ([valid], "model file must be a JSON object"),
-            ("[" * 100000, "model file is nested too deeply"),
+            ("[" * 100000, f"model file {model_path}: nested too deeply"),
             ({**valid, "maps": 5}, "maps must be an array of numbers"),
             ({**valid, "maps": [{}, {}]}, "maps must be an array of numbers"),
             ({**valid, "domain": [0, 100]}, "domain must be a JSON object"),
@@ -1216,7 +1292,7 @@ class TestExitCodes:
         ref_path = tmp_path / "reference.json"
         for doc, message in [
             ([1, 2], "reference file must be a JSON object"),
-            ("[" * 100000, "reference file is nested too deeply"),
+            ("[" * 100000, f"reference file {ref_path}: nested too deeply"),
             ({"quantiles": "0.5"}, "reference quantiles must be an array of numbers"),
             (
                 {"quantiles": [0.1, 10**400, 0.5, 0.9]},

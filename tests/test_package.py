@@ -35,14 +35,18 @@ def test_cli_is_the_module():
 
 def test_import_leaves_out_scipy_special():
     # scipy.special is most of the import time and memory; only
-    # generate_dataset needs it, and fit, predict, evaluate and loocv never load it
-    code = "import sys, mtdr, mtdr.cli; print('scipy.special' in sys.modules)"
+    # generate_dataset needs it, and fit, predict, evaluate and loocv never load
+    # it.  multiprocessing is loaded only by a call that starts workers.
+    code = (
+        "import sys, mtdr, mtdr.cli;"
+        " print('scipy.special' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 def test_commands_without_simulation_leave_out_scipy(tmp_path):
@@ -62,6 +66,35 @@ def test_commands_without_simulation_leave_out_scipy(tmp_path):
         assert cli(["predict", *scored, "--out", "p.csv"]) == 0
         assert cli(["evaluate", *scored]) == 0
         print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_serial_commands_leave_out_multiprocessing(tmp_path):
+    # a command with one independent fit runs it in process: the worker
+    # pool, and the import of multiprocessing, come only with loocv and with
+    # simulate of two or more replications
+    code = """if True:
+        import sys
+        import numpy as np
+        from mtdr.cli import cli, write_long_csv
+
+        rng = np.random.default_rng(0)
+        write_long_csv("d.csv", rng.random((5, 1, 20)), rng.random((5, 20)))
+        data = ["--data", "d.csv", "--p", "1", "--domain", "0,1", "--t", "20"]
+        assert cli(["fit", *data, "--out", "m.json"]) == 0
+        scored = ["--model", "m.json", "--data", "d.csv"]
+        assert cli(["predict", *scored, "--out", "p.csv"]) == 0
+        assert cli(["evaluate", *scored]) == 0
+        assert cli(["simulate", "--scenario", "single", "--alpha", "0.5", "--n", "6",
+                    "--m", "5", "--reps", "1", "--t", "20", "--out", "study"]) == 0
+        print(sorted(name for name in sys.modules if name.startswith("multiprocessing")))
     """
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(

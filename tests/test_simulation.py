@@ -1,5 +1,7 @@
 """Tests for warps, scenario specs, data generation, and the study harness."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from mtdr.quantile_core import Domain, wasserstein_distance
 from mtdr.simulation import (
     NoiseSpec,
     ScenarioSpec,
+    _pmap,
     awd,
     generate_dataset,
     mortality_like_samples,
@@ -303,6 +306,38 @@ class TestRunReplications:
         spec = single_predictor_scenario(0.5, n=8, m=5, reps=1, seed=0, test_fraction=0.0)
         with pytest.raises(ValueError, match="test set"):
             run_replications(spec)
+
+
+def _square_unless_three(offset, i):
+    if i == 3:
+        raise ValueError(f"task {i} failed")
+    return offset + i * i
+
+
+def _pmap_in_worker(count):
+    return _pmap(_square_unless_three, 10, count)
+
+
+class TestPmap:
+    def test_results_in_index_order(self):
+        # more tasks than CPUs, so workers take several each
+        assert _pmap(_square_unless_three, 10, 3) == [10, 11, 14]
+        assert _pmap(_square_unless_three, 0, 2) == [0, 1]
+        assert _pmap(_square_unless_three, 0, 1) == [0]
+        assert _pmap(_square_unless_three, 0, 0) == []
+
+    def test_error_is_raised_in_the_caller(self):
+        with pytest.raises(ValueError, match="task 3 failed"):
+            _pmap(_square_unless_three, 0, 8)
+        assert multiprocessing.active_children() == []
+
+    def test_nested_call_runs_serially(self):
+        # a pool worker is daemonic and may not start children of its own
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(_pmap_in_worker, (3,)).get(60) == [10, 11, 14]
+            with pytest.raises(ValueError, match="task 3 failed"):
+                pool.apply_async(_pmap_in_worker, (5,)).get(60)
+        assert multiprocessing.active_children() == []
 
 
 class TestMortalityLikeSamples:
