@@ -11,7 +11,9 @@ mortality-like file that scripts/make_mortality_like.py writes by default
 every sample rounded to a multiple of 5 (ages in 5-year bands, fitted at
 t = 300, where the Frechet reference has flat stretches), a 6-subject file
 with 50 samples per variable (fitted and scored at t = 12000, a size at
-which BLAS sums split over threads), a reference JSON, a model and a
+which BLAS sums split over threads), a 40-subject file whose subject ids
+need quoting and whose sample counts differ (scored in more than one
+block), a reference JSON, a model and a
 reference file that lack a field, and a model and a reference file cut
 off mid-JSON.  Each command line
 runs in its own directory OUT/<case>, which ends up holding the files the
@@ -29,6 +31,7 @@ two-core machine.  OUT must not exist yet, or be empty.
 """
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -56,6 +59,11 @@ def _fit_args(reference: str, data: str = DATA, t: str = FIT_T) -> list:
 BINNED_ARGS = _fit_args("frechet", "../inputs/mortality_like_binned.csv", "300")
 
 LARGE_T_DATA = "../inputs/mortality_like_6x50.csv"
+
+QUOTED_DATA = "../inputs/quoted_ids.csv"
+# ids with a comma, a quote, CR, LF, padding (stripped on reading), non-ASCII
+# letters, and an empty id
+ODD_IDS = ["a,b", 'say "hi"', "cr\rid", "lf\nid", " padded ", "\u00fcn\u00ef", ""]
 
 
 def _simulate(scenario: str, alpha: str, *noise: str) -> list:
@@ -94,6 +102,10 @@ CASES = [
                        "--out", "score.json"]),
     ("evaluate_awd", ["evaluate", "--model", MODEL, "--data", DATA, "--metric", "awd",
                       "--out", "score.json"]),
+    ("predict_quoted_ids", ["predict", "--model", MODEL, "--data", QUOTED_DATA,
+                            "--out", "predictions.csv"]),
+    ("evaluate_quoted_ids", ["evaluate", "--model", MODEL, "--data", QUOTED_DATA,
+                             "--metric", "awd", "--out", "score.json"]),
     ("fit_large_t", ["fit", *_fit_args("uniform", LARGE_T_DATA, "12000"), "--out", "model.json"]),
     ("evaluate_large_t", ["evaluate", "--model", "../fit_large_t/model.json",
                           "--data", LARGE_T_DATA, "--out", "score.json"]),
@@ -143,6 +155,16 @@ def _write_inputs(inputs: str) -> None:
                    5.0 * np.round(pred / 5.0), 5.0 * np.round(resp / 5.0))  # fmt: skip
     pred, resp = mortality_like_samples(n=6, m=50, domain=Domain(0.0, 100.0))
     write_long_csv(os.path.join(inputs, "mortality_like_6x50.csv"), pred, resp)
+    pred, resp = mortality_like_samples(n=40, m=60, domain=Domain(0.0, 100.0))
+    ids = ODD_IDS + [f"{ODD_IDS[i % len(ODD_IDS)]}{i}" for i in range(len(ODD_IDS), 40)]
+    with open(os.path.join(inputs, "quoted_ids.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["subject_id", "variable", "value"])
+        for i, sid in enumerate(ids):
+            for k, (var, x) in enumerate([("response", resp[i]), ("pred1", pred[i, 0]),
+                                          ("pred2", pred[i, 1])]):  # fmt: skip
+                count = 60 - 5 * ((i + k) % 4)
+                writer.writerows([sid, var, repr(float(v))] for v in x[:count])
     t = int(FIT_T)
     docs = {
         "reference.json": {"quantiles": [100.0 * ((r + 0.5) / t) ** 1.5 for r in range(t)]},

@@ -15,7 +15,7 @@ Example follow-up:
 
 import argparse
 
-from mtdr.cli import write_long_csv
+from mtdr.cli import _parse_count, write_long_csv
 from mtdr.quantile_core import Domain
 from mtdr.simulation import mortality_like_samples
 
@@ -23,16 +23,18 @@ from mtdr.simulation import mortality_like_samples
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="mortality_like.csv")
-    parser.add_argument("--n", type=int, default=34, help="number of subjects")
-    parser.add_argument("--m", type=int, default=500, help="samples per variable")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--n", type=_parse_count(1), default=34, help="number of subjects")
+    parser.add_argument("--m", type=_parse_count(1), default=500, help="samples per variable")
+    parser.add_argument("--seed", type=_parse_count(0), default=7)
     parser.add_argument("--lo", type=float, default=0.0, help="age range start")
     parser.add_argument("--hi", type=float, default=100.0, help="age range end")
     args = parser.parse_args()
+    try:
+        domain = Domain(args.lo, args.hi)
+    except ValueError as err:
+        parser.error(str(err))
 
-    pred, resp = mortality_like_samples(
-        n=args.n, m=args.m, seed=args.seed, domain=Domain(args.lo, args.hi)
-    )
+    pred, resp = mortality_like_samples(n=args.n, m=args.m, seed=args.seed, domain=domain)
     write_long_csv(args.out, pred, resp)
     print(f"wrote {args.out}: {args.n} subjects, {args.m} samples per variable")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
+import io
 import json
 import math
 import os
@@ -25,6 +25,7 @@ from .fitting import (
     FitReport,
     MtdrModel,
     Subject,
+    _predictions,
     fit,
     predict,
 )
@@ -34,10 +35,12 @@ from .quantile_core import (
     Domain,
     ProbGrid,
     QuantileGrid,
+    _quantile_rows,
     frechet_mean,
-    quantile_from_samples,
     wasserstein_distance,
 )
+# kept only for perfbench/tracing.py, which wraps mtdr.cli.quantile_from_samples
+from .quantile_core import quantile_from_samples  # noqa: F401
 from .simulation import (
     NoiseSpec,
     StudySummary,
@@ -61,6 +64,11 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+
+# Subjects scored, and sample lists estimated, per numpy call: a block of
+# 32 keeps the Python work per subject small, while one block of every
+# subject would grow the peak memory with the file.
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -86,18 +94,24 @@ def ingest(
     The file is read as UTF-8, with or without a byte-order mark.
 
     The file is streamed row by row.  A row whose raw (subject_id, variable)
-    fields were seen before takes the fast path: one lookup of its sample
-    list, float() of the value (which strips whitespace as str.strip does)
-    and a range test, then an append.  Every other row (the first of its
-    pair, a blank row, or one that fails the float or range test) takes
-    _checked_row's checks in order, so the first bad row in the file is
-    reported, with the same message either way.
+    fields were seen before takes the fast path: float() of the value
+    (which strips whitespace as str.strip does) and a range test, then an
+    append to its sample list, which is the last accepted row's list when
+    the fields equal that row's, else one dict lookup away.  Every other
+    row (the first of its pair, a blank row, or one that fails the float or
+    range test) takes _checked_row's checks in order, so the first bad row
+    in the file is reported, with the same message either way.
+
+    The quantile grids are then estimated in blocks of up to BLOCK sample
+    lists of equal length, with the bits quantile_from_samples gives each
+    list alone.
     """
     band = CLAMP_REL * domain.width
     low, high = domain.lo - band, domain.hi + band
     allowed = {f"pred{j}" for j in range(1, p + 1)} | {"response"}
     samples: dict = {}  # subject id -> variable -> sample list, in file order
     seen: dict = {}  # raw (subject_id, variable) fields -> that sample list
+    dest = last_sid = last_var = None  # the last accepted row's list and raw fields
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -111,19 +125,25 @@ def ingest(
             for row_no, row in enumerate(reader, start=2):
                 try:
                     sid, var, raw = row
-                    dest = seen[sid, var]
                     value = float(raw)
-                except (ValueError, KeyError):
-                    dest = None
-                if dest is not None and low <= value <= high:
-                    dest.append(value)
-                    continue
+                except ValueError:
+                    value = math.nan  # fails the range test: the row is checked
+                if low <= value <= high:
+                    if sid == last_sid and var == last_var:
+                        dest.append(value)
+                        continue
+                    known = seen.get((sid, var))
+                    if known is not None:
+                        dest, last_sid, last_var = known, sid, var
+                        dest.append(value)
+                        continue
                 checked = _checked_row(row, row_no, allowed, domain, low, high)
                 if checked is not None:
                     sid, var, value = checked
                     dest = samples.setdefault(sid, {}).setdefault(var, [])
                     dest.append(value)
-                    seen[row[0], row[1]] = dest
+                    last_sid, last_var = row[0], row[1]
+                    seen[last_sid, last_var] = dest
         except csv.Error as exc:
             raise ValueError(f"row {reader.line_num}: {exc}") from None
     if not samples:
@@ -131,21 +151,27 @@ def ingest(
     needed = [f"pred{j}" for j in range(1, p + 1)]
     if require_response:
         needed.append("response")
-    subjects = []
+    lists = []  # every sample list: each subject's predictors, then its response
     for sid, got in samples.items():
         for var in needed:
             if var not in got:
                 raise ValueError(f"subject {sid!r} is missing variable {var!r}")
-        preds = tuple(
-            quantile_from_samples(got[f"pred{j}"], domain, grid)
-            for j in range(1, p + 1)
-        )
-        resp = (
-            quantile_from_samples(got["response"], domain, grid)
-            if "response" in got
-            else None
-        )
-        subjects.append(Subject(preds, resp))
+        lists += [got[f"pred{j}"] for j in range(1, p + 1)]
+        lists.append(got.get("response"))
+    by_size: dict = {}  # sample count -> indices into lists
+    for k, values in enumerate(lists):
+        if values is not None:
+            by_size.setdefault(len(values), []).append(k)
+    grids = [None] * len(lists)
+    for ks in by_size.values():
+        for start in range(0, len(ks), BLOCK):
+            block = ks[start : start + BLOCK]
+            rows = _quantile_rows(np.array([lists[k] for k in block]), domain, grid)
+            for k, row in zip(block, rows):
+                grids[k] = QuantileGrid(domain, grid, row)
+    subjects = [
+        Subject(grids[k : k + p], grids[k + p]) for k in range(0, len(grids), p + 1)
+    ]
     return IngestResult(DataSet(tuple(subjects)), tuple(samples))
 
 
@@ -176,6 +202,21 @@ def _checked_row(row, row_no, allowed, domain, low, high):
     return sid, var, value
 
 
+def _write_rows(fh, lead, tails) -> None:
+    """Write the CSV rows lead + tail, one per tail, in one fh.write.
+
+    The leading fields are quoted once, as csv.writer quotes them.  Each
+    tail is the rest of its row with its fields joined by commas, so they
+    must need no quoting, as the repr of a float does not.
+    """
+    buf = io.StringIO()
+    csv.writer(buf).writerow([*lead, ""])  # lead's fields, then a comma and "\r\n"
+    prefix = buf.getvalue()[:-2]
+    tails = list(tails)
+    if tails:
+        fh.write(prefix + ("\r\n" + prefix).join(tails) + "\r\n")
+
+
 def write_long_csv(path, pred_samples, resp_samples=None, subject_ids=None) -> None:
     """Write raw samples as a long CSV (see module docstring for schema)."""
     pred_samples = np.asarray(pred_samples, dtype=float)
@@ -184,15 +225,14 @@ def write_long_csv(path, pred_samples, resp_samples=None, subject_ids=None) -> N
         width = max(3, len(str(n)))
         subject_ids = [f"s{i + 1:0{width}d}" for i in range(n)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "variable", "value"])
+        csv.writer(fh).writerow(["subject_id", "variable", "value"])
         for i in range(n):
             if resp_samples is not None:
-                for x in np.asarray(resp_samples[i], dtype=float):
-                    writer.writerow([subject_ids[i], "response", repr(float(x))])
+                resp = np.asarray(resp_samples[i], dtype=float).tolist()
+                _write_rows(fh, (subject_ids[i], "response"), map(repr, resp))
             for j in range(p):
-                for x in pred_samples[i, j]:
-                    writer.writerow([subject_ids[i], f"pred{j + 1}", repr(float(x))])
+                pred = pred_samples[i, j].tolist()
+                _write_rows(fh, (subject_ids[i], f"pred{j + 1}"), map(repr, pred))
 
 
 # -- model file ------------------------------------------------------------
@@ -627,21 +667,33 @@ def _cmd_predict(args) -> int:
     res = ingest(
         args.data, model.domain, model.prob_grid, model.p, require_response=False
     )
-    levels = [repr(level) for level in model.prob_grid.levels.tolist()]
+    levels = [f"{level!r}," for level in model.prob_grid.levels.tolist()]
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "p", "quantile"])
-        for sid, subject in zip(res.subject_ids, res.dataset.subjects):
-            q = predict(model, subject.predictors)
-            values = map(repr, q.values.tolist())
-            writer.writerows(zip(itertools.repeat(sid), levels, values))
+        csv.writer(fh).writerow(["subject_id", "p", "quantile"])
+        for sid, q in zip(res.subject_ids, _predicted_rows(model, res.dataset)):
+            _write_rows(fh, (sid,), map(str.__add__, levels, map(repr, q.tolist())))
     return 0
+
+
+def _predicted_rows(model: MtdrModel, data: DataSet):
+    """predict's quantile values for each subject of data, computed BLOCK at a time.
+
+    data must come from ingest with the model's domain, grid and p.
+    """
+    for start in range(0, data.n, BLOCK):
+        block = data.subjects[start : start + BLOCK]
+        stacks = [s.predictors[j].values for j in range(model.p) for s in block]
+        shape = (model.p, len(block), model.prob_grid.size)
+        yield from _predictions(model, np.reshape(stacks, shape))
 
 
 def _cmd_evaluate(args) -> int:
     model, _ = load_model(args.model)
     res = ingest(args.data, model.domain, model.prob_grid, model.p)
-    preds = [predict(model, s.predictors) for s in res.dataset.subjects]
+    preds = [
+        QuantileGrid(model.domain, model.prob_grid, q)
+        for q in _predicted_rows(model, res.dataset)
+    ]
     actuals = [s.response for s in res.dataset.subjects]
     value = rmse(preds, actuals) if args.metric == "rmse" else awd(preds, actuals)
     sys.stdout.write(repr(value) + "\n")

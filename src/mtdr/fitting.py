@@ -363,11 +363,24 @@ def predict(model: MtdrModel, predictors) -> QuantileGrid:
     for g in predictors:
         if g.domain != model.domain or g.grid != model.prob_grid:
             raise ValueError("predictors must share the model domain and grid")
+    stacks = np.reshape([g.values for g in predictors], (model.p, 1, model.prob_grid.size))
+    return QuantileGrid(model.domain, model.prob_grid, _predictions(model, stacks)[0])
+
+
+def _predictions(model: MtdrModel, stacks: np.ndarray) -> np.ndarray:
+    """Predicted quantile rows of n subjects, each with predict's bits.
+
+    stacks has shape (p, n, t): stacks[j - 1] holds the j-th predictor's
+    quantiles on the model's grid, one row per subject.  The reference
+    term alpha[0] T_0(ref) comes first, then alpha[j] T_j(stacks[j - 1])
+    is added in index order, so the arithmetic is elementwise and a row
+    does not depend on the other rows.
+    """
     alpha = model.weights.values
     q = alpha[0] * model.maps[0](model.reference.values)
-    for j, g in enumerate(predictors, start=1):
-        q = q + alpha[j] * model.maps[j](g.values)
-    return QuantileGrid(model.domain, model.prob_grid, _guard_monotone(q, model.domain))
+    for j, stack in enumerate(stacks, start=1):
+        q = q + alpha[j] * model.maps[j](stack)
+    return _guard_monotone(np.broadcast_to(q, stacks.shape[1:]), model.domain)
 
 
 def loss(model: MtdrModel, predictors, response: QuantileGrid) -> float:

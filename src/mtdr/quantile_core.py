@@ -150,9 +150,9 @@ def _checked(values, size: int, domain: Domain, noun: str) -> np.ndarray:
     v = _readonly(np.atleast_1d(values))
     if v.size != size:
         raise ValueError(f"{noun} vector length {v.size} does not match grid size {size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{noun} values must be finite")
-    if np.any(np.diff(v) < 0.0):
+    if (v[1:] < v[:-1]).any():  # np.diff(v) < 0 for finite v, at less cost per call
         raise ValueError(f"{noun} values must be nondecreasing")
     if v[0] < domain.lo or v[-1] > domain.hi:
         raise ValueError(f"{noun} values must lie inside the domain")
@@ -198,9 +198,18 @@ def quantile_from_samples(samples, domain: Domain, grid: ProbGrid) -> QuantileGr
         raise ValueError("empty sample")
     if not np.all(np.isfinite(s)):
         raise ValueError("samples must be finite")
-    s = domain.clamp(s, "sample value")
-    q = _type7_rows(s, grid)
-    return QuantileGrid(domain, grid, _guard_monotone(q, domain))
+    return QuantileGrid(domain, grid, _quantile_rows(s, domain, grid))
+
+
+def _quantile_rows(stack: np.ndarray, domain: Domain, grid: ProbGrid) -> np.ndarray:
+    """quantile_from_samples' values for each row of a stack of finite samples.
+
+    Clamps, applies the type-7 estimator and guards monotonicity.  Every
+    step works elementwise along the last axis, so a row of a stack gets
+    the bits it gets alone.
+    """
+    s = domain.clamp(stack, "sample value")
+    return _guard_monotone(_type7_rows(s, grid), domain)
 
 
 def _type7_rows(samples: np.ndarray, grid: ProbGrid) -> np.ndarray:

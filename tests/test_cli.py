@@ -1,19 +1,26 @@
 """Tests for the command line interface and its file formats."""
 
 import csv
+import hashlib
+import io
 import json
 import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mtdr.cli
 from mtdr.cli import (
+    IngestResult,
+    _checked_row,
     cli,
     ingest,
     load_model,
@@ -24,6 +31,7 @@ from mtdr.cli import (
 from mtdr.fitting import DataSet, FitConfig, MtdrModel, Subject, fit, predict
 from mtdr.monotone_map import MonotoneMap, NodeGrid
 from mtdr.quantile_core import (
+    CLAMP_REL,
     Domain,
     ProbGrid,
     QuantileGrid,
@@ -293,6 +301,216 @@ class TestIngestErrors:
         )
         res = ingest(str(path), UNIT, ProbGrid(3), p=1)
         assert float(res.dataset.subjects[0].predictors[0].values[-1]) <= 1.0
+
+
+def reference_ingest(path, domain, grid, p, require_response=True):
+    """ingest's result, or its error, with every row read by _checked_row and
+    every sample list estimated alone."""
+    band = CLAMP_REL * domain.width
+    low, high = domain.lo - band, domain.hi + band
+    allowed = {f"pred{j}" for j in range(1, p + 1)} | {"response"}
+    samples: dict = {}
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != [
+                "subject_id",
+                "variable",
+                "value",
+            ]:
+                raise ValueError("expected header subject_id,variable,value")
+            for row_no, row in enumerate(reader, start=2):
+                checked = _checked_row(row, row_no, allowed, domain, low, high)
+                if checked is not None:
+                    sid, var, value = checked
+                    samples.setdefault(sid, {}).setdefault(var, []).append(value)
+        except csv.Error as exc:
+            raise ValueError(f"row {reader.line_num}: {exc}") from None
+    if not samples:
+        raise ValueError("no data rows")
+    needed = [f"pred{j}" for j in range(1, p + 1)] + ["response"] * require_response
+    subjects = []
+    for sid, got in samples.items():
+        for var in needed:
+            if var not in got:
+                raise ValueError(f"subject {sid!r} is missing variable {var!r}")
+        estimated = {var: quantile_from_samples(x, domain, grid) for var, x in got.items()}
+        preds = tuple(estimated[f"pred{j}"] for j in range(1, p + 1))
+        subjects.append(Subject(preds, estimated.get("response")))
+    return IngestResult(DataSet(tuple(subjects)), tuple(samples))
+
+
+# subject ids that need quoting, or that ingest strips, or that are not ASCII
+ODD_IDS = ["a,b", 'say "hi"', "cr\rid", "lf\nid", " padded ", "ünï", ""]
+BAD_VALUES = ["abc", "1.5", "-0.5", "nan", "-inf", ""]
+
+
+@st.composite
+def long_files(draw):
+    """(file text, p, require_response) of a long CSV with awkward rows.
+
+    Sample counts differ between lists, and a pair's rows come in chunks
+    that may be shuffled apart.  The file may hold blank lines, padded
+    fields, CRLF line ends, a byte-order mark, a missing variable and one
+    bad row.
+    """
+    rnd = draw(st.randoms(use_true_random=True))
+    p = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 8) | st.integers(30, 48))  # the latter fill blocks
+    require_response = draw(st.booleans())
+    names = [f"pred{j}" for j in range(1, p + 1)] + ["response"]
+    ids = [rnd.choice(ODD_IDS) + str(i) for i in range(n)]
+    if rnd.random() < 0.3:
+        ids[rnd.randrange(n)] = ""
+
+    def pad(field):
+        if rnd.random() < 0.8:
+            return field
+        return rnd.choice(["", " ", "\t"]) + field + rnd.choice(["", " "])
+
+    chunks = []
+    for sid in ids:
+        for var in names:
+            values = [rnd.choice([0.0, 1.0, 1.0 + 1e-10, -1e-10, rnd.random()])
+                      for _ in range(rnd.choice([1, 3, 3, 3, 5]))]  # fmt: skip
+            cut = rnd.randint(0, len(values))
+            chunks += [[[pad(sid), pad(var), pad(repr(x))] for x in part]
+                       for part in (values[:cut], values[cut:]) if part]  # fmt: skip
+    if draw(st.integers(0, 9)) == 0:
+        chunks.pop(rnd.randrange(len(chunks)))  # a subject may lose a variable
+    if draw(st.booleans()):
+        rnd.shuffle(chunks)
+    rows = [row for chunk in chunks for row in chunk]
+    for _ in range(rnd.randint(0, 3)):
+        rows.insert(rnd.randint(0, len(rows)), rnd.choice([[], [" "]]))
+    if draw(st.booleans()):
+        sid, var = pad(rnd.choice(ids)), pad(rnd.choice(names))
+        bad = rnd.choice([[sid, var, rnd.choice(BAD_VALUES)], [sid, "pred9", "0.5"],
+                          [sid, var], [sid, var, "0.5", "0.5"]])  # fmt: skip
+        rows.insert(rnd.randint(0, len(rows)), bad)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for row in [["subject_id", "variable", "value"]] + rows:
+        buf = io.StringIO()  # quoted as in a CRLF file, so fields keep their CR and LF
+        csv.writer(buf).writerow(row)
+        lines.append(buf.getvalue()[:-2] + eol)
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(lines), p, require_response
+
+
+def _ingested(read, path, p, require_response):
+    """The subject ids and every grid's bytes read from path, or the error text."""
+    try:
+        res = read(path, UNIT, ProbGrid(7), p, require_response)
+    except ValueError as err:
+        return str(err)
+    grids = [(*s.predictors, s.response) for s in res.dataset.subjects]
+    return res.subject_ids, [[g and g.values.tobytes() for g in gs] for gs in grids]
+
+
+class TestIngestMatchesReference:
+    @given(long_files())
+    def test_same_dataset_or_same_error(self, case):
+        text, p, require_response = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "long.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            got = _ingested(ingest, path, p, require_response)
+            assert got == _ingested(reference_ingest, path, p, require_response)
+
+    def test_blocks_of_equal_sample_counts(self, tmp_path):
+        # 70 lists of 4 samples and 10 of 3: blocks of 32, 32, 6 and 10
+        rng = np.random.default_rng(52)
+        rows = [[f"s{i}", var, repr(float(x))]
+                for i in range(40) for var in ("pred1", "response")
+                for x in rng.random(3 if i % 8 == 0 else 4)]  # fmt: skip
+        path = tmp_path / "blocks.csv"
+        write_rows(path, rows)
+        args = (str(path), UNIT, ProbGrid(9), 1)
+        got, expected = ingest(*args), reference_ingest(*args)
+        assert got.subject_ids == expected.subject_ids
+        for mine, theirs in zip(got.dataset.subjects, expected.dataset.subjects):
+            assert mine.predictors[0].values.tobytes() == theirs.predictors[0].values.tobytes()
+            assert mine.response.values.tobytes() == theirs.response.values.tobytes()
+
+
+class TestCsvWriters:
+    """The CSV writers give csv.writer's bytes for subject ids that need quoting."""
+
+    @pytest.mark.parametrize("with_responses", [True, False])
+    def test_long_csv_equals_csv_writer(self, tmp_path, with_responses):
+        rng = np.random.default_rng(53)
+        n = len(ODD_IDS)
+        pred = rng.random((n, 2, 4))
+        resp = [rng.random(k + 1) for k in range(n)] if with_responses else None
+        path = tmp_path / "long.csv"
+        write_long_csv(path, pred, resp, subject_ids=ODD_IDS)
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["subject_id", "variable", "value"])
+            for i, sid in enumerate(ODD_IDS):
+                if with_responses:
+                    writer.writerows([sid, "response", repr(float(x))] for x in resp[i])
+                for j in range(2):
+                    writer.writerows([sid, f"pred{j + 1}", repr(float(x))] for x in pred[i, j])
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_predict_equals_csv_writer(self, fitted, tmp_path):
+        _, model, _ = fitted
+        model_path = tmp_path / "model.json"
+        save_model(str(model_path), model)
+        # 40 subjects, more than one block, with unequal sample counts
+        rng = np.random.default_rng(54)
+        ids = ODD_IDS + [f"{ODD_IDS[i % len(ODD_IDS)]}{i}" for i in range(33)]
+        rows = [[sid, "pred1", repr(float(x))] for k, sid in enumerate(ids)
+                for x in rng.random(3 + k % 5)]  # fmt: skip
+        data = tmp_path / "data.csv"
+        write_rows(data, rows)
+        out = tmp_path / "preds.csv"
+        argv = ["predict", "--model", str(model_path), "--data", str(data), "--out", str(out)]
+        assert cli(argv) == 0
+        res = ingest(str(data), UNIT, model.prob_grid, p=1, require_response=False)
+        assert res.subject_ids == tuple(sid.strip() for sid in ids)
+        levels = [repr(level) for level in model.prob_grid.levels.tolist()]
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["subject_id", "p", "quantile"])
+            for sid, subject in zip(res.subject_ids, res.dataset.subjects):
+                values = predict(model, subject.predictors).values.tolist()
+                writer.writerows([sid, level, repr(v)] for level, v in zip(levels, values))
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+class TestMortalityLikeScript:
+    SCRIPT = REPO / "scripts" / "make_mortality_like.py"
+
+    def run(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPT), *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )  # fmt: skip
+
+    def test_default_file_bytes(self, tmp_path):
+        # the sha256 of the file as the row-by-row csv.writer wrote it
+        out = tmp_path / "mortality_like.csv"
+        assert self.run("--out", str(out)).returncode == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "9fc76017bacec4996ab29f3a5e8d10339bfcb6c4697e91c61b62b13d85f81757"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["--n", "0"], "must be"), (["--m", "0"], "must be"),
+         (["--seed", "-1"], "must be"), (["--lo", "5", "--hi", "5"], "lo < hi")],
+    )  # fmt: skip
+    def test_bad_size_or_domain_is_usage_error(self, tmp_path, args, message):
+        proc = self.run(*args, "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.fixture(scope="module")

@@ -185,6 +185,42 @@ class TestPredict:
             predict(model, (random_measure(rng, 21),))
 
 
+class TestPredictionKernel:
+    """fitting._predictions, the block kernel of predict, keeps predict's bits."""
+
+    @staticmethod
+    def loop_predict(model, predictors):
+        """predict's arithmetic for one subject, written as a loop."""
+        alpha = model.weights.values
+        q = alpha[0] * model.maps[0](model.reference.values)
+        for j, g in enumerate(predictors, start=1):
+            q = q + alpha[j] * model.maps[j](g.values)
+        return np.maximum.accumulate(np.clip(q, UNIT.lo, UNIT.hi))
+
+    def check(self, model, rng, n):
+        t = model.prob_grid.size
+        subjects = [tuple(random_measure(rng, t) for _ in range(model.p)) for _ in range(n)]
+        stacks = np.reshape(
+            [subjects[i][j].values for j in range(model.p) for i in range(n)],
+            (model.p, n, t),
+        )
+        rows = fitting._predictions(model, stacks)
+        assert rows.shape == (n, t)
+        for row, preds in zip(rows, subjects):
+            assert row.tobytes() == predict(model, preds).values.tobytes()
+            assert row.tobytes() == self.loop_predict(model, preds).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 32, 33, 200])
+    def test_rows_equal_predict(self, rng, n):
+        self.check(toy_model(60, [0.2, 0.5, 0.3], (2, -3, 1)), rng, n)
+
+    def test_without_predictors(self, rng):
+        self.check(toy_model(60, [1.0], (3,)), rng, 5)
+
+    def test_zero_weight(self, rng):
+        self.check(toy_model(60, [0.0, 0.4, 0.6], (2, -3, 1)), rng, 33)
+
+
 class TestLossAndRisk:
     def test_zero_on_own_prediction(self, rng):
         t = 30

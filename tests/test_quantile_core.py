@@ -10,6 +10,7 @@ from mtdr.quantile_core import (
     ProbGrid,
     QuantileGrid,
     _guard_monotone,
+    _quantile_rows,
     _type7_rows,
     frechet_mean,
     quantile_from_samples,
@@ -201,6 +202,22 @@ class TestType7Rows:
         before = samples.copy()
         _type7_rows(samples, ProbGrid(9))
         assert np.array_equal(samples, before)
+
+
+class TestQuantileRows:
+    def test_each_row_equals_quantile_from_samples(self):
+        rng = np.random.default_rng(6)
+        dom, grid = Domain(-1.0, 2.0), ProbGrid(37)
+        stack = rng.uniform(-1.0, 2.0, size=(33, 21))
+        stack[4, :10] = 2.0 + 2e-9  # inside the clamp band, clipped back
+        stack[5, :3] = -1.0 - 2e-9
+        rows = _quantile_rows(stack, dom, grid)
+        assert rows.shape == (33, 37)
+        clipped = np.quantile(np.clip(stack, -1.0, 2.0), grid.levels, axis=-1).T
+        assert rows.tobytes() == _guard_monotone(clipped, dom).tobytes()
+        for samples, row in zip(stack, rows):
+            alone = quantile_from_samples(samples, dom, grid).values
+            assert row.tobytes() == alone.tobytes()
 
 
 class TestWassersteinDistance:
