@@ -150,9 +150,9 @@ def _checked(values, size: int, domain: Domain, noun: str) -> np.ndarray:
     v = _readonly(np.atleast_1d(values))
     if v.size != size:
         raise ValueError(f"{noun} vector length {v.size} does not match grid size {size}")
-    if not np.isfinite(v).all():
+    if not np.all(np.isfinite(v)):
         raise ValueError(f"{noun} values must be finite")
-    if (v[1:] < v[:-1]).any():  # np.diff(v) < 0 for finite v, at less cost per call
+    if np.any(np.diff(v) < 0.0):
         raise ValueError(f"{noun} values must be nondecreasing")
     if v[0] < domain.lo or v[-1] > domain.hi:
         raise ValueError(f"{noun} values must lie inside the domain")
