@@ -14,8 +14,8 @@ with 50 samples per variable (fitted and scored at t = 12000, a size at
 which BLAS sums split over threads), a 40-subject file whose subject ids
 need quoting and whose sample counts differ (scored in more than one
 block), a reference JSON, a model and a
-reference file that lack a field, and a model and a reference file cut
-off mid-JSON.  Each command line
+reference file that lack a field, a model with one weight too few, and a
+model and a reference file cut off mid-JSON.  Each command line
 runs in its own directory OUT/<case>, which ends up holding the files the
 command wrote plus ``argv``, ``exit`` (the exit code), ``stdout`` and
 ``stderr``.  Paths in the command lines are relative, and help text is
@@ -130,6 +130,8 @@ CASES = [
                              "--out", "predictions.csv"]),
     ("error_model_lacks_field", ["predict", "--model", "../inputs/model_lacks_domain.json",
                                  "--data", DATA, "--out", "predictions.csv"]),
+    ("error_model_bad_alpha", ["predict", "--model", "../inputs/model_bad_alpha.json",
+                               "--data", DATA, "--out", "predictions.csv"]),
     ("error_reference_lacks_field", ["fit", *_fit_args("../inputs/reference_lacks_quantiles.json"),
                                      "--out", "model.json"]),
     ("error_model_not_json", ["predict", "--model", "../inputs/model_not_json.json",
@@ -140,6 +142,8 @@ CASES = [
                                      "--out", "model.json"]),
     ("error_outside_domain", ["fit", "--data", DATA, "--p", "2", "--domain", "0,50",
                               "--out", "model.json"]),
+    ("error_fixed_weights_sum", ["fit", *_fit_args("uniform"), "--fixed-weights", "0.2,0.5,0.2",
+                                 "--out", "model.json"]),
     ("error_multi_alpha_count", ["simulate", "--scenario", "multi", "--alpha", "0.5,0.5",
                                  "--out", "."]),
     ("error_noise_not_symmetric", _simulate("single", "0.5", "--noise-orders=1,2")),
@@ -148,7 +152,7 @@ CASES = [
 
 def _write_inputs(inputs: str) -> None:
     """The mortality-like files, a reference, and model and reference files
-    that lack a field or are cut off mid-JSON."""
+    that lack a field, hold bad weights or are cut off mid-JSON."""
     pred, resp = mortality_like_samples(domain=Domain(0.0, 100.0))
     write_long_csv(os.path.join(inputs, "mortality_like.csv"), pred, resp)
     write_long_csv(os.path.join(inputs, "mortality_like_binned.csv"),
@@ -170,6 +174,14 @@ def _write_inputs(inputs: str) -> None:
         "reference.json": {"quantiles": [100.0 * ((r + 0.5) / t) ** 1.5 for r in range(t)]},
         "reference_lacks_quantiles.json": {"values": [50.0] * t},
         "model_lacks_domain.json": {"format_version": 1},
+        # three maps on a two-node grid, and two weights
+        "model_bad_alpha.json": {
+            "format_version": 1, "domain": {"s0": 0.0, "s1": 100.0}, "t": 2,
+            "prob_grid": {"kind": "midpoint", "size": 2},
+            "node_grid": {"kind": "uniform", "size": 2},
+            "reference_quantiles": [25.0, 75.0], "maps": [[25.0, 75.0]] * 3,
+            "alpha": [0.5, 0.5],
+        },  # fmt: skip
     }
     for name, doc in docs.items():
         with open(os.path.join(inputs, name), "w") as fh:

@@ -4,7 +4,9 @@ Long sample files are CSV with header subject_id,variable,value; variable is
 "response" or "pred1".."predP" and each row carries one raw observation.
 Models are JSON documents with format_version 1 whose floats round-trip
 exactly (shortest-repr serialization).  All commands are deterministic given
-their inputs and the seed.
+their inputs and the seed.  `mtdr simulate` builds its scenario with
+simulation._scenario, as the scenario builders do, and loocv fits its folds
+on _pool._pmap, the worker pool of the studies.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import _pmap
 from .fitting import (
     DataSet,
     FitReport,
@@ -42,16 +45,7 @@ from .quantile_core import (
 # kept only so perfbench/tracing.py's patch of mtdr.cli.quantile_from_samples
 # resolves; ingest estimates through _quantile_rows, so that patch counts no call
 from .quantile_core import quantile_from_samples  # noqa: F401
-from .simulation import (
-    NoiseSpec,
-    StudySummary,
-    _pmap,
-    awd,
-    multi_predictor_scenario,
-    rmse,
-    run_replications,
-    single_predictor_scenario,
-)
+from .simulation import NoiseSpec, StudySummary, _scenario, awd, rmse, run_replications
 from .solvers import SimplexWeights
 
 __all__ = [
@@ -395,8 +389,10 @@ def load_model(path: str):
     maps = tuple(
         _named(f"maps[{k}]", MonotoneMap, node_grid, z) for k, z in enumerate(map_values)
     )
-    weights = SimplexWeights.of(_floats(_field(doc, "alpha"), "alpha"))
-    model = MtdrModel(reference, maps, weights)
+    alpha = _floats(_field(doc, "alpha"), "alpha")
+    # the maps share one node grid and the reference's domain, so MtdrModel
+    # can only reject the weights or their count
+    model = _named("alpha", lambda: MtdrModel(reference, maps, SimplexWeights.of(alpha)))
     report = None
     if "fit_report" in doc:
         rep = _typed(doc["fit_report"], dict, "fit_report")
@@ -439,7 +435,7 @@ def loocv(data: DataSet, subject_ids, reference_choice: str) -> dict:
     A uniform or file reference is resolved once; a frechet reference is
     resolved per fold from the training subjects, so it never sees the
     held-out response.  References are resolved here, then the folds are
-    fitted in parallel (see simulation._pmap).  Returns the report document
+    fitted in parallel (see _pool._pmap).  Returns the report document
     with each fold's distance, weights, and the iterations and converged
     flag of its fit; the reported awd is the mean of the fold distances.
     """
@@ -635,20 +631,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     noise = None if args.noise_orders is None else NoiseSpec(tuple(args.noise_orders))
-    size = dict(n=args.n, m=args.m, reps=args.reps, seed=args.seed, noise=noise)
+    alpha = args.alpha  # a pair is used as given, not rebuilt from alpha1
     if args.scenario == "single":
-        if len(args.alpha) == 1:
-            spec = single_predictor_scenario(args.alpha[0], **size)
-        elif len(args.alpha) == 2:  # the pair as given, not rebuilt from alpha1
-            weights = SimplexWeights.of(args.alpha)
-            spec = single_predictor_scenario(weights.values[1], **size)
-            spec = replace(spec, weights=weights)
-        else:
+        if len(alpha) == 1:
+            alpha = [1.0 - alpha[0], alpha[0]]
+        if len(alpha) != 2:
             raise ValueError("single scenario takes 1 or 2 alpha values")
-    else:
-        if len(args.alpha) != 3:
-            raise ValueError("multi scenario takes 3 alpha values")
-        spec = multi_predictor_scenario(tuple(args.alpha), **size)
+    elif len(alpha) != 3:
+        raise ValueError("multi scenario takes 3 alpha values")
+    # the sizes are checked by the parser, so only the weights can be rejected
+    size = (args.n, args.m, args.reps, args.seed, noise)
+    spec = _named("--alpha", _scenario, args.scenario, alpha, *size)
     summary = run_replications(spec, args.t)
     write_study(args.out, "summary", args.scenario, summary)
     return 0
@@ -659,7 +652,7 @@ def _cmd_fit(args) -> int:
     reference = _resolve_reference(args.reference, res.dataset)
     fixed = None
     if args.fixed_weights is not None:
-        fixed = SimplexWeights.of(args.fixed_weights)
+        fixed = _named("--fixed-weights", SimplexWeights.of, args.fixed_weights)
     model, report = fit(res.dataset, args.p, reference, fixed_weights=fixed)
     save_model(args.out, model, report)
     return 0

@@ -37,7 +37,6 @@ from .quantile_core import (
     _guard_monotone,
     _readonly,
     _sumsq,
-    wasserstein_distance,
 )
 from .solvers import (
     IsotonicProblem,
@@ -55,7 +54,6 @@ __all__ = [
     "FitReport",
     "MtdrModel",
     "predict",
-    "loss",
     "empirical_risk",
     "map_update_problem",
     "fit",
@@ -381,11 +379,6 @@ def _predictions(model: MtdrModel, stacks: np.ndarray) -> np.ndarray:
     for j, stack in enumerate(stacks, start=1):
         q = q + alpha[j] * model.maps[j](stack)
     return _guard_monotone(np.broadcast_to(q, stacks.shape[1:]), model.domain)
-
-
-def loss(model: MtdrModel, predictors, response: QuantileGrid) -> float:
-    """Squared Wasserstein distance between response and prediction."""
-    return wasserstein_distance(response, predict(model, predictors)) ** 2
 
 
 def empirical_risk(model: MtdrModel, data: DataSet) -> float:

@@ -54,10 +54,6 @@ class Domain:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @classmethod
-    def unit(cls) -> "Domain":
-        return cls(0.0, 1.0)
-
     def check_inside(self, x: np.ndarray, what: str = "value") -> None:
         x = np.asarray(x, dtype=float)
         if x.size and not (self.lo <= x.min() and x.max() <= self.hi):

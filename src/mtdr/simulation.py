@@ -8,21 +8,23 @@ distortion is unbiased).  Observations are finite samples drawn from every
 measure, turned back into quantile grids by the empirical estimator.
 
 Each design choice is stated in one place: the warp orders and Beta ranges
-of every scenario in the table _DESIGNS, the default response distortion in
-NoiseSpec(), the model response in _respond, the empirical estimator in
+of every scenario in the table _DESIGNS, read by _scenario, the one builder
+behind single_predictor_scenario, multi_predictor_scenario and `mtdr
+simulate`; the default response distortion in NoiseSpec(), the model
+response in _respond, the empirical estimator in
 quantile_core._type7_rows, and which maps are identifiable (those with a
-nonzero true weight) in _replicate, whose map_errs carry it.
+nonzero true weight) in _replicate, whose map_errs carry it.  A study's
+replications run on _pool._pmap, the worker pool it shares with loocv.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._pool import _pmap
 from .fitting import (
     DataSet,
     MtdrModel,
@@ -78,7 +80,7 @@ def sine_warp(order: int, x):
     1, and deviates from the identity by at most 1 / (|k| pi).
     """
     k = _warp_order(order)
-    arr = Domain.unit().clamp(x, "warp argument")
+    arr = Domain(0.0, 1.0).clamp(x, "warp argument")
     if k != 0:
         arr = np.clip(arr - np.sin(np.pi * k * arr) / (abs(k) * np.pi), 0.0, 1.0)
     return float(arr) if np.isscalar(x) else arr
@@ -111,10 +113,6 @@ class NoiseSpec:
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         sup = np.asarray(self.orders, dtype=int)
         return sup[rng.integers(0, sup.size, size)]
-
-    @classmethod
-    def none(cls) -> "NoiseSpec":
-        return cls((0,))
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,7 @@ _DESIGNS = {
 }
 
 
-def _scenario(design, weights, n, m, reps, seed, noise, test_fraction):
+def _scenario(design, weights, n, m, reps, seed, noise=None, test_fraction=0.3):
     """The ScenarioSpec of design _DESIGNS[design]; noise None is NoiseSpec()."""
     warp_orders, beta_ranges = _DESIGNS[design]
     return ScenarioSpec(
@@ -287,7 +285,7 @@ def generate_dataset(
     # and memory that importing mtdr would take, and only this function needs it
     from scipy.special import betaincinv
 
-    domain = Domain.unit()
+    domain = Domain(0.0, 1.0)
     grid = ProbGrid(t)
     node_grid = NodeGrid(domain, t)
     n_total = spec.n + spec.n_test
@@ -372,7 +370,6 @@ class RepResult:
     weight_err: float
     map_errs: tuple
     rmse: float
-    fitted_weights: tuple
     iterations: int
     converged: bool
     trajectory: np.ndarray
@@ -407,46 +404,6 @@ class StudySummary:
         return StudySummary(spec, t, results, metrics)
 
 
-_TASK = None  # (fn, state) of the pool this process works for
-
-
-def _start(fn, state) -> None:
-    global _TASK
-    _TASK = fn, state
-
-
-def _call(i):
-    fn, state = _TASK
-    return fn(state, i)
-
-
-def _pmap(fn, state, count: int) -> list:
-    """[fn(state, i) for i in range(count)], on one forked worker per usable CPU.
-
-    Workers fork from this process, so they inherit state and fn; only the
-    indices and the results are pickled, and results come back in index
-    order.  Without a second task or a second usable CPU (as
-    os.sched_getaffinity counts them, so taskset limits the workers),
-    without fork, or inside a pool worker, the same calls run here, one
-    after another.  An exception raised by fn is raised here.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, count)
-    loaded = sys.modules.get("multiprocessing")
-    nested = loaded is not None and loaded.current_process().daemon
-    if workers < 2 or not hasattr(os, "fork") or nested:
-        return [fn(state, i) for i in range(count)]
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    # leaving the block on an error terminates and joins the workers
-    with context.Pool(workers, _start, (fn, state)) as pool:
-        results = pool.map(_call, range(count), chunksize=1)
-        pool.close()
-        pool.join()
-    return results
-
-
 def _replicate(state, r: int) -> RepResult:
     """Replication r of a study: generate from seed child r, fit, score."""
     spec, t, fixed_weights, children = state
@@ -469,7 +426,6 @@ def _replicate(state, r: int) -> RepResult:
         weight_err=weight_err,
         map_errs=map_errs,
         rmse=rmse(preds, actuals),
-        fitted_weights=tuple(model.weights.values.tolist()),
         iterations=report.iterations,
         converged=report.converged,
         trajectory=report.trajectory,
@@ -485,7 +441,7 @@ def run_replications(
 
     Replications are generated on grids of size t from seeds spawned from
     the scenario seed, so results are a pure function of the arguments;
-    they run in parallel (see _pmap) and come back in order.
+    they run in parallel (see _pool._pmap) and come back in order.
     The reported metrics are the predictive seminorm distance to the truth
     on the exact test predictors, the weight error (absolute for one
     predictor, Euclidean otherwise), the map L2 errors where identifiable,

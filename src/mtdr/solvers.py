@@ -174,7 +174,9 @@ class SimplexWeights:
     def of(cls, values) -> "SimplexWeights":
         """Build from near-simplex input, renormalizing tiny float drift."""
         a = np.asarray(values, dtype=float)
-        if a.size == 0 or not np.all(np.isfinite(a)) or np.any(a < 0.0):
+        if a.size == 0:
+            raise ValueError("weights must be nonempty")
+        if not np.all(np.isfinite(a)) or np.any(a < 0.0):
             raise ValueError("weights must be finite and nonnegative")
         s = a.sum()
         if abs(s - 1.0) > 1e-6:

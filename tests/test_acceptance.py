@@ -218,7 +218,7 @@ def test_criterion_06_simplex_ls_matches_grid():
 def test_criterion_07_quadratic_growth():
     spec = multi_predictor_scenario(
         (0.3, 0.35, 0.35), n=50, m=10, reps=1, seed=71,
-        noise=NoiseSpec.none(), test_fraction=0.0,
+        noise=NoiseSpec((0,)), test_fraction=0.0,
     )
     gen = generate_dataset(spec, np.random.default_rng(71), t=1000, exact=True)
     truth, data = gen.truth, gen.train

@@ -1004,6 +1004,25 @@ class TestCliSimulate:
             assert code == 1
             assert "error:" in capsys.readouterr().err
 
+    def test_weight_errors_name_the_flag(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        sample_csv(data, n=3, m=4, seed=47)
+        fit_args = ["fit", "--data", str(data), "--p", "1", "--domain", "0,1"]
+        single = ["simulate", "--scenario", "single", "--n", "4", "--m", "4", "--reps", "1"]
+        multi = ["simulate", "--scenario", "multi", "--n", "4", "--m", "4", "--reps", "1"]
+        off_sum, negative = "weights must sum to one", "weights must be finite and nonnegative"
+        for argv, message in [
+            (fit_args + ["--fixed-weights", "0.5,0.4"], f"--fixed-weights: {off_sum}"),
+            (fit_args + ["--fixed-weights=-0.5,1.5"], f"--fixed-weights: {negative}"),
+            (single + ["--alpha", "0.3,0.5"], f"--alpha: {off_sum}"),
+            (single + ["--alpha", "1.5"], f"--alpha: {negative}"),
+            (multi + ["--alpha", "0.2,0.2,0.2"], f"--alpha: {off_sum}"),
+        ]:
+            code = cli([*argv, "--out", str(tmp_path / "out")])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestCliLoocv:
     def run_loocv(self, tmp_path, name, reference="uniform"):
@@ -1380,6 +1399,14 @@ class TestExitCodes:
                 {**valid, "alpha": [10**400, 0, 0]},
                 "alpha holds a number out of float range",
             ),
+            # weights off the simplex, or one too many, are named as alpha
+            ({**valid, "alpha": [0.2, 0.3, 0.5]}, "alpha: one weight per map required"),
+            (
+                {**valid, "alpha": [-0.5, 1.5]},
+                "alpha: weights must be finite and nonnegative",
+            ),
+            ({**valid, "alpha": []}, "alpha: weights must be nonempty"),
+            ({**valid, "alpha": [0.5, 0.4]}, "alpha: weights must sum to one"),
             # sizes checked against the arrays before any grid is built
             (
                 {**valid, "prob_grid": {"kind": "midpoint", "size": 10**12}},

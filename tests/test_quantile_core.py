@@ -38,7 +38,6 @@ class TestDomain:
     def test_basic_fields(self):
         d = Domain(-1.0, 3.0)
         assert d.width == 4.0
-        assert Domain.unit() == UNIT
 
     def test_rejects_bad_endpoints(self):
         with pytest.raises(ValueError, match="lo < hi"):

@@ -222,6 +222,11 @@ class TestSimplexWeights:
         w = SimplexWeights.of([0.5 + 2e-7, 0.5])
         assert w.values.sum() == pytest.approx(1.0, abs=1e-15)
 
+    def test_empty_is_named_as_the_constructor_names_it(self):
+        for build in (SimplexWeights.of, SimplexWeights):
+            with pytest.raises(ValueError, match="weights must be nonempty"):
+                build(np.array([]))
+
 
 class TestSimplexLeastSquares:
     def test_single_column(self):
