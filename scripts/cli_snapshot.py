@@ -123,6 +123,10 @@ CASES = [
                                      "--domain=-1e308,1e308", "--out", "model.json"]),
     ("usage_bad_alpha", ["simulate", "--scenario", "single", "--alpha", "half",
                          "--out", "."]),
+    ("usage_unknown_scenario", ["simulate", "--scenario", "wide", "--alpha", "0.5",
+                                "--out", "."]),
+    ("usage_alpha_empty_entry", ["simulate", "--scenario", "single", "--alpha", "0.3,,0.7",
+                                 "--out", "."]),
     # runtime errors: exit code 1
     ("error_missing_data", ["fit", "--data", "absent.csv", "--p", "2", "--domain", "0,100",
                             "--out", "model.json"]),

@@ -29,11 +29,7 @@ import os
 import time
 
 from mtdr.cli import _parse_count, write_study
-from mtdr.simulation import (
-    multi_predictor_scenario,
-    run_replications,
-    single_predictor_scenario,
-)
+from mtdr.simulation import run_replications, scenario
 from mtdr.solvers import SimplexWeights
 
 
@@ -57,15 +53,19 @@ def main() -> None:
     os.makedirs(args.out, exist_ok=True)
 
     size = {"m": m, "reps": reps}
-    single, multi = single_predictor_scenario, multi_predictor_scenario
-    studies = [("single_mixture", single(0.5, n=n_single, seed=101, **size))]
+
+    def single(a, n, seed):
+        return scenario("single", (1 - a, a), n=n, seed=seed, **size)
+
+    studies = [("single_mixture", single(0.5, n_single, 101))]
     studies += [
-        (f"sample_size_trend_n{n}", single(0.25, n=n, seed=seed, **size))
+        (f"sample_size_trend_n{n}", single(0.25, n, seed))
         for n, seed in zip(trend_ns, (201, 202, 203))
     ]
+    multi = scenario("multi", (0.3, 0.35, 0.35), n=n_single, seed=401, **size)
     studies += [
-        ("transport_equivalence", single(1.0, n=n_single, seed=301, **size)),
-        ("three_transport", multi((0.3, 0.35, 0.35), n=n_single, seed=401, **size)),
+        ("transport_equivalence", single(1.0, n_single, 301)),
+        ("three_transport", multi),
     ]
     overview = {}
     for name, spec in studies:

@@ -4,9 +4,10 @@ Long sample files are CSV with header subject_id,variable,value; variable is
 "response" or "pred1".."predP" and each row carries one raw observation.
 Models are JSON documents with format_version 1 whose floats round-trip
 exactly (shortest-repr serialization).  All commands are deterministic given
-their inputs and the seed.  `mtdr simulate` builds its scenario with
-simulation._scenario, as the scenario builders do, and loocv fits its folds
-on _pool._pmap, the worker pool of the studies.
+their inputs and the seed.  `mtdr simulate` takes its designs and their
+weight counts from simulation._DESIGNS and builds its scenario with
+simulation.scenario, and loocv fits its folds on _pool._pmap, the worker
+pool of the studies.
 """
 
 from __future__ import annotations
@@ -45,7 +46,15 @@ from .quantile_core import (
 # kept only so perfbench/tracing.py's patch of mtdr.cli.quantile_from_samples
 # resolves; ingest estimates through _quantile_rows, so that patch counts no call
 from .quantile_core import quantile_from_samples  # noqa: F401
-from .simulation import NoiseSpec, StudySummary, _scenario, awd, rmse, run_replications
+from .simulation import (
+    _DESIGNS,
+    NoiseSpec,
+    StudySummary,
+    awd,
+    rmse,
+    run_replications,
+    scenario,
+)
 from .solvers import SimplexWeights
 
 __all__ = [
@@ -396,10 +405,9 @@ def load_model(path: str):
     report = None
     if "fit_report" in doc:
         rep = _typed(doc["fit_report"], dict, "fit_report")
-        report = FitReport(
-            _floats(_field(rep, "fit_report.trajectory"), "fit_report trajectory"),
-            _typed(_field(rep, "fit_report.converged"), bool, "fit_report converged"),
-        )
+        tr = _floats(_field(rep, "fit_report.trajectory"), "fit_report trajectory")
+        conv = _typed(_field(rep, "fit_report.converged"), bool, "fit_report converged")
+        report = _named("fit_report", FitReport, tr, conv)
     _restated(doc, "t", int, node_grid.size, "the map length")
     if report is not None:
         n_iter, last = report.iterations, report.final_objective
@@ -559,7 +567,7 @@ def _parse_list(cast, what: str):
 
     def parse(text: str) -> list:
         try:
-            return [cast(x) for x in text.split(",") if x.strip() != ""]
+            return [cast(x) for x in text.split(",")]
         except ValueError:
             message = f"expected comma-separated {what}"
             raise argparse.ArgumentTypeError(message) from None
@@ -578,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
     noise_default = ",".join(str(k) for k in NoiseSpec().orders)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo study")
-    sim.add_argument("--scenario", choices=["single", "multi"], required=True)
+    sim.add_argument("--scenario", choices=list(_DESIGNS), required=True)
     sim.add_argument("--alpha", type=numbers, required=True)
     sim.add_argument("--n", type=_parse_count(1), default=200)
     sim.add_argument("--m", type=_parse_count(1), default=200)
@@ -631,17 +639,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     noise = None if args.noise_orders is None else NoiseSpec(tuple(args.noise_orders))
-    alpha = args.alpha  # a pair is used as given, not rebuilt from alpha1
-    if args.scenario == "single":
-        if len(alpha) == 1:
-            alpha = [1.0 - alpha[0], alpha[0]]
-        if len(alpha) != 2:
-            raise ValueError("single scenario takes 1 or 2 alpha values")
-    elif len(alpha) != 3:
-        raise ValueError("multi scenario takes 3 alpha values")
+    p = len(_DESIGNS[args.scenario][1])  # the design's predictor count
+    alpha = args.alpha  # p + 1 values are used as given, not rebuilt from alpha1
+    if p == 1 and len(alpha) == 1:
+        alpha = (1 - alpha[0], alpha[0])
+    if len(alpha) != p + 1:
+        counts = "1 or 2" if p == 1 else p + 1
+        raise ValueError(f"{args.scenario} scenario takes {counts} alpha values")
     # the sizes are checked by the parser, so only the weights can be rejected
     size = (args.n, args.m, args.reps, args.seed, noise)
-    spec = _named("--alpha", _scenario, args.scenario, alpha, *size)
+    spec = _named("--alpha", scenario, args.scenario, alpha, *size)
     summary = run_replications(spec, args.t)
     write_study(args.out, "summary", args.scenario, summary)
     return 0

@@ -7,11 +7,13 @@ output distorted by a random warp whose order has a symmetric law (so the
 distortion is unbiased).  Observations are finite samples drawn from every
 measure, turned back into quantile grids by the empirical estimator.
 
-Each design choice is stated in one place: the warp orders and Beta ranges
-of every scenario in the table _DESIGNS, read by _scenario, the one builder
-behind single_predictor_scenario, multi_predictor_scenario and `mtdr
-simulate`; the default response distortion in NoiseSpec(), the model
-response in _respond, the empirical estimator in
+Each design choice is stated in one place.  A design is one row of the
+table _DESIGNS: the true maps' warp orders and the predictors' Beta ranges,
+whose count is the design's number of predictors p.  scenario builds the
+ScenarioSpec of a row and its true weights, and `mtdr simulate` takes its
+designs and their weight counts (p + 1) from the same table, so a new
+design is a new row and nothing else.  The default response distortion is
+in NoiseSpec(), the model response in _respond, the empirical estimator in
 quantile_core._type7_rows, and which maps are identifiable (those with a
 nonzero true weight) in _replicate, whose map_errs carry it.  A study's
 replications run on _pool._pmap, the worker pool it shares with loocv.
@@ -56,8 +58,7 @@ __all__ = [
     "run_replications",
     "rmse",
     "awd",
-    "single_predictor_scenario",
-    "multi_predictor_scenario",
+    "scenario",
     "mortality_like_samples",
 ]
 
@@ -177,40 +178,22 @@ _DESIGNS = {
 }
 
 
-def _scenario(design, weights, n, m, reps, seed, noise=None, test_fraction=0.3):
-    """The ScenarioSpec of design _DESIGNS[design]; noise None is NoiseSpec()."""
+def scenario(
+    design, weights, n=200, m=200, reps=30, seed=0, noise=None, test_fraction=0.3
+) -> ScenarioSpec:
+    """The ScenarioSpec of the row _DESIGNS[design] and the true weights.
+
+    weights holds one weight per map, the reference's first; noise None is
+    NoiseSpec().  A design the table lacks is a ValueError naming the known
+    ones.
+    """
+    if design not in _DESIGNS:
+        raise ValueError(f"unknown design {design!r}; known: {', '.join(_DESIGNS)}")
     warp_orders, beta_ranges = _DESIGNS[design]
     return ScenarioSpec(
         SimplexWeights.of(weights), warp_orders, beta_ranges, n, m, reps, seed,
         test_fraction, noise or NoiseSpec(),
     )  # fmt: skip
-
-
-def single_predictor_scenario(
-    alpha1: float,
-    n: int = 200,
-    m: int = 200,
-    reps: int = 30,
-    seed: int = 0,
-    noise: NoiseSpec | None = None,
-    test_fraction: float = 0.3,
-) -> ScenarioSpec:
-    """One Beta predictor, weights (1 - alpha1, alpha1): design "single"."""
-    weights = [1.0 - alpha1, alpha1]
-    return _scenario("single", weights, n, m, reps, seed, noise, test_fraction)
-
-
-def multi_predictor_scenario(
-    weights=(0.3, 0.35, 0.35),
-    n: int = 200,
-    m: int = 200,
-    reps: int = 30,
-    seed: int = 0,
-    noise: NoiseSpec | None = None,
-    test_fraction: float = 0.3,
-) -> ScenarioSpec:
-    """Two Beta predictors and the given weights: design "multi"."""
-    return _scenario("multi", weights, n, m, reps, seed, noise, test_fraction)
 
 
 @dataclass(frozen=True)
@@ -469,9 +452,8 @@ def mortality_like_samples(
     raw samples to the given domain.  Returns (predictor samples with shape
     (n, 2, m), response samples with shape (n, m)).
     """
-    spec = multi_predictor_scenario(
-        weights=(0.2, 0.4, 0.4), n=n, m=m, reps=1, seed=seed, test_fraction=0.0
-    )
+    weights = (0.2, 0.4, 0.4)
+    spec = scenario("multi", weights, n=n, m=m, reps=1, seed=seed, test_fraction=0.0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     gen = generate_dataset(spec, rng, t=200)
     pred = domain.lo + domain.width * gen.samples.predictors

@@ -36,10 +36,9 @@ from mtdr.simulation import (
     NoiseSpec,
     generate_dataset,
     mortality_like_samples,
-    multi_predictor_scenario,
     run_replications,
+    scenario,
     sine_warp,
-    single_predictor_scenario,
 )
 from mtdr.solvers import (
     IsotonicProblem,
@@ -54,7 +53,7 @@ from mtdr.solvers import (
 @pytest.fixture(scope="session")
 def study_single_mixture():
     """30 replications, one predictor, true weight 0.5, n = m = 200."""
-    spec = single_predictor_scenario(0.5, n=200, m=200, reps=30, seed=101)
+    spec = scenario("single", (0.5, 0.5), n=200, m=200, reps=30, seed=101)
     start = time.perf_counter()
     summary = run_replications(spec)
     return summary, time.perf_counter() - start
@@ -65,7 +64,7 @@ def study_sample_size_trend():
     """True weight 0.25 at n in {50, 200, 400}, m = 200, 30 replications."""
     out = {}
     for n, seed in ((50, 201), (200, 202), (400, 203)):
-        spec = single_predictor_scenario(0.25, n=n, m=200, reps=30, seed=seed)
+        spec = scenario("single", (0.75, 0.25), n=n, m=200, reps=30, seed=seed)
         out[n] = run_replications(spec)
     return out
 
@@ -73,7 +72,7 @@ def study_sample_size_trend():
 @pytest.fixture(scope="session")
 def study_transport_equivalence():
     """True weight 1.0: free weights versus weights fixed at (0, 1)."""
-    spec = single_predictor_scenario(1.0, n=200, m=200, reps=30, seed=301)
+    spec = scenario("single", (0.0, 1.0), n=200, m=200, reps=30, seed=301)
     free = run_replications(spec)
     fixed = run_replications(spec, fixed_weights=SimplexWeights.of([0.0, 1.0]))
     return free, fixed
@@ -82,9 +81,7 @@ def study_transport_equivalence():
 @pytest.fixture(scope="session")
 def study_three_transport():
     """Two predictors plus reference, weights (0.3, 0.35, 0.35), 30 reps."""
-    spec = multi_predictor_scenario(
-        (0.3, 0.35, 0.35), n=200, m=200, reps=30, seed=401
-    )
+    spec = scenario("multi", (0.3, 0.35, 0.35), n=200, m=200, reps=30, seed=401)
     return run_replications(spec)
 
 
@@ -216,8 +213,8 @@ def test_criterion_06_simplex_ls_matches_grid():
 
 
 def test_criterion_07_quadratic_growth():
-    spec = multi_predictor_scenario(
-        (0.3, 0.35, 0.35), n=50, m=10, reps=1, seed=71,
+    spec = scenario(
+        "multi", (0.3, 0.35, 0.35), n=50, m=10, reps=1, seed=71,
         noise=NoiseSpec((0,)), test_fraction=0.0,
     )
     gen = generate_dataset(spec, np.random.default_rng(71), t=1000, exact=True)
@@ -253,7 +250,7 @@ def test_criterion_07_quadratic_growth():
 
 
 def test_criterion_08_reference_invariance():
-    spec = single_predictor_scenario(0.5, n=60, m=200, reps=1, seed=81)
+    spec = scenario("single", (0.5, 0.5), n=60, m=200, reps=1, seed=81)
     gen = generate_dataset(spec, np.random.default_rng(81), t=1000)
     train = gen.train
     grid, dom = train.prob_grid, train.domain

@@ -38,12 +38,7 @@ from mtdr.quantile_core import (
     frechet_mean,
     quantile_from_samples,
 )
-from mtdr.simulation import (
-    generate_dataset,
-    mortality_like_samples,
-    multi_predictor_scenario,
-    single_predictor_scenario,
-)
+from mtdr.simulation import _DESIGNS, generate_dataset, mortality_like_samples, scenario
 from mtdr.solvers import SimplexWeights
 
 UNIT = Domain(0.0, 1.0)
@@ -88,8 +83,8 @@ class TestWriteIngestRoundTrip:
     @pytest.mark.parametrize(
         "spec",
         [
-            single_predictor_scenario(0.5, n=5, m=12, reps=1, seed=11),
-            multi_predictor_scenario(n=5, m=12, reps=1, seed=11),
+            scenario("single", (0.5, 0.5), n=5, m=12, reps=1, seed=11),
+            scenario("multi", (0.3, 0.35, 0.35), n=5, m=12, reps=1, seed=11),
         ],
         ids=["single", "multi"],
     )
@@ -515,7 +510,7 @@ class TestMortalityLikeScript:
 
 @pytest.fixture(scope="module")
 def fitted():
-    spec = single_predictor_scenario(0.5, n=6, m=15, reps=1, seed=21)
+    spec = scenario("single", (0.5, 0.5), n=6, m=15, reps=1, seed=21)
     gen = generate_dataset(spec, np.random.default_rng(21), t=30)
     grid = gen.train.prob_grid
     reference = QuantileGrid(UNIT, grid, grid.levels.copy())
@@ -987,6 +982,40 @@ class TestCliSimulate:
         assert "symmetric about zero" in capsys.readouterr().err
         assert cli(args + ["--include-zero-order"]) == 2
 
+    @pytest.mark.parametrize("design", list(_DESIGNS))
+    def test_every_design_runs(self, tmp_path, design):
+        p = len(_DESIGNS[design][1])
+        out = tmp_path / design
+        equal = ",".join([repr(1 / (p + 1))] * (p + 1))
+        code = cli(
+            ["simulate", "--scenario", design, "--alpha", equal, "--n", "6", "--m", "5",
+             "--reps", "1", "--t", "20", "--out", str(out)]
+        )  # fmt: skip
+        assert code == 0
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["p"] == p
+        assert doc["alpha_star"] == [1 / (p + 1)] * (p + 1)
+
+    def test_new_design_needs_only_its_row(self, tmp_path, monkeypatch, capsys):
+        def wide(p):  # warp orders and Beta ranges of the wide design family
+            orders = (4, 3, -5, 2, -2, 5, -3, 1, -1, 6, -4)[: p + 1]
+            ranges = tuple(
+                ((1.0 + j % 3, 5.0 + j % 3), (1.0 + j % 2, 5.0 + j % 2)) for j in range(p)
+            )
+            return orders, ranges
+
+        assert (wide(1), wide(2)) == (_DESIGNS["single"], _DESIGNS["multi"])
+        monkeypatch.setitem(_DESIGNS, "triple", wide(3))
+        args = ["simulate", "--scenario", "triple", "--n", "6", "--m", "5", "--reps", "1",
+                "--t", "20"]  # fmt: skip
+        out = tmp_path / "triple"
+        assert cli([*args, "--alpha", "0.25,0.25,0.25,0.25", "--out", str(out)]) == 0
+        doc = json.loads((out / "summary.json").read_text())
+        assert (doc["scenario"], doc["p"], doc["alpha_star"]) == ("triple", 3, [0.25] * 4)
+        assert cli([*args, "--alpha", "0.5,0.5", "--out", str(tmp_path / "bad")]) == 1
+        assert capsys.readouterr().err == "error: triple scenario takes 4 alpha values\n"
+        assert not (tmp_path / "bad").exists()
+
     def test_wrong_alpha_count_is_runtime_error(self, tmp_path, capsys):
         # three values for one predictor, and a pair off the simplex
         for alpha in ("0.1,0.2,0.7", "0.3,0.5"):
@@ -1314,6 +1343,31 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--alpha", "0.3,,0.7"], "argument --alpha: expected comma"),
+            (["simulate", "--alpha", "0.3,0.7,"], "argument --alpha: expected comma"),
+            (["simulate", "--alpha", "0.5", "--noise-orders=-2,,2"],
+             "argument --noise-orders: expected comma-separated integers"),
+            (["fit", "--fixed-weights", "0.2,,0.5,0.3"],
+             "argument --fixed-weights: expected comma-separated numbers"),
+        ],
+    )  # fmt: skip
+    def test_empty_list_entry_is_usage_error(self, tmp_path, capsys, argv, message):
+        # an empty entry is not dropped: 0.3,,0.7 is no weight vector
+        command, *values = argv
+        if command == "simulate":
+            rest = ["--scenario", "single"]
+        else:
+            data = tmp_path / "d.csv"
+            sample_csv(data, n=3, m=4, seed=45)
+            rest = ["--data", str(data), "--p", "2", "--domain", "0,1"]
+        code = cli([command, *rest, *values, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["fit", "--t", "1000000000000"],
@@ -1512,6 +1566,15 @@ class TestExitCodes:
             (
                 {**valid, "fit_report": {**report, "final_objective": -1.0}},
                 "fit_report final_objective -1.0 does not match the trajectory (0.5)",
+            ),
+            # the report's own checks name the field too
+            (
+                {**valid, "fit_report": {**report, "trajectory": [1.0, float("nan")]}},
+                "error: fit_report: trajectory must be nonempty and finite",
+            ),
+            (
+                {**valid, "fit_report": {**report, "trajectory": [0.5, 1.0]}},
+                "error: fit_report: objective trajectory increased beyond slack",
             ),
             # a file that is not JSON, or not UTF-8, is named with its kind and path
             ('{"format_version": 1, "alpha": [0.5,', f"model file {model_path}: Expecting"),

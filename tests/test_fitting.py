@@ -42,9 +42,8 @@ from mtdr.simulation import (
     NoiseSpec,
     generate_dataset,
     mortality_like_samples,
-    multi_predictor_scenario,
+    scenario,
     sine_warp,
-    single_predictor_scenario,
 )
 from mtdr.solvers import SimplexWeights, weighted_isotonic
 from oracles import riemann_quantile_l2
@@ -82,9 +81,10 @@ def warped_subjects(rng, t, n, p):
 
 
 def noiseless_exact_data(alpha1=0.5, n=100, t=300, seed=3):
-    spec = single_predictor_scenario(
-        alpha1, n=n, m=1, reps=1, seed=seed, noise=NoiseSpec((0,)), test_fraction=0.0
-    )
+    spec = scenario(
+        "single", (1 - alpha1, alpha1), n=n, m=1, reps=1, seed=seed,
+        noise=NoiseSpec((0,)), test_fraction=0.0,
+    )  # fmt: skip
     rng = np.random.default_rng(seed)
     return generate_dataset(spec, rng, t=t, exact=True)
 
@@ -488,9 +488,10 @@ class TestFit:
         assert report.final_objective == empirical_risk(model, data)
 
     def test_permutation_equivariance(self):
-        spec = multi_predictor_scenario(
-            n=40, m=1, reps=1, seed=21, noise=NoiseSpec((0,)), test_fraction=0.0
-        )
+        spec = scenario(
+            "multi", (0.3, 0.35, 0.35), n=40, m=1, reps=1, seed=21,
+            noise=NoiseSpec((0,)), test_fraction=0.0,
+        )  # fmt: skip
         rng = np.random.default_rng(21)
         gen = generate_dataset(spec, rng, t=150, exact=True)
         base = gen.train

@@ -16,7 +16,7 @@ from mtdr.monotone_map import (
     pushforward,
 )
 from mtdr.quantile_core import Domain, ProbGrid, QuantileGrid
-from mtdr.simulation import generate_dataset, sine_warp, single_predictor_scenario
+from mtdr.simulation import generate_dataset, scenario, sine_warp
 
 UNIT = Domain(0.0, 1.0)
 
@@ -82,7 +82,7 @@ class TestNodeGrid:
         T = MonotoneMap(grid, np.sort(np.random.default_rng(t).uniform(*domain, size=t)))
         assert np.array_equal(T(reference), T.values)
         if dom == UNIT:  # the simulation's truth reference is the same grid
-            spec = single_predictor_scenario(0.5, n=1, m=2, reps=1)
+            spec = scenario("single", (0.5, 0.5), n=1, m=2, reps=1)
             truth = generate_dataset(spec, np.random.default_rng(0), t=t).truth
             assert truth.reference.values.tobytes() == grid.nodes.tobytes()
 

@@ -144,10 +144,13 @@ def _unused_imports(source: str) -> list:
 
 
 def test_modules_read_every_name_they_import():
-    # no linter is part of the toolchain, so this stands in for its F401;
-    # __init__.py imports only to re-export
+    # no linter is part of the toolchain, so this stands in for its F401 over
+    # the package, the scripts and the tests; __init__.py imports only to
+    # re-export
     left_over = "from dataclasses import dataclass, replace\n\n@dataclass\nclass A:\n  x: int\n"
     assert _unused_imports(left_over) == ["line 1: replace"]
-    for path in sorted((REPO / "src" / "mtdr").glob("*.py")):
+    paths = [*(REPO / "src" / "mtdr").glob("*.py"), *(REPO / "scripts").glob("*.py")]
+    paths += (REPO / "tests").glob("*.py")
+    for path in sorted(paths):
         if path.name != "__init__.py":
-            assert _unused_imports(path.read_text()) == [], path.name
+            assert _unused_imports(path.read_text()) == [], path.relative_to(REPO)

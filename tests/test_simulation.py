@@ -4,7 +4,7 @@ import multiprocessing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mtdr._pool import _pmap
@@ -16,11 +16,10 @@ from mtdr.simulation import (
     awd,
     generate_dataset,
     mortality_like_samples,
-    multi_predictor_scenario,
     rmse,
     run_replications,
+    scenario,
     sine_warp,
-    single_predictor_scenario,
 )
 from mtdr.solvers import SimplexWeights
 
@@ -66,8 +65,8 @@ class TestNoiseSpec:
         # the law every scenario uses unless given another
         spec = NoiseSpec()
         assert spec.orders == (-3, 3)
-        assert single_predictor_scenario(0.5).noise == spec
-        assert multi_predictor_scenario().noise == spec
+        assert scenario("single", (0.5, 0.5)).noise == spec
+        assert scenario("multi", (0.3, 0.35, 0.35)).noise == spec
 
     def test_validation(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -111,7 +110,7 @@ class TestNoiseSpec:
 
 class TestScenarioSpec:
     def test_single_factory(self):
-        spec = single_predictor_scenario(0.5)
+        spec = scenario("single", (0.5, 0.5))
         assert spec.p == 1
         assert spec.warp_orders == (4, 3)
         assert np.allclose(spec.weights.values, [0.5, 0.5])
@@ -119,13 +118,17 @@ class TestScenarioSpec:
         assert spec.n_test == 60
 
     def test_multi_factory(self):
-        spec = multi_predictor_scenario()
+        spec = scenario("multi", (0.3, 0.35, 0.35))
         assert spec.p == 2
         assert spec.warp_orders == (4, 3, -5)
         assert np.allclose(spec.weights.values, [0.3, 0.35, 0.35])
 
+    def test_unknown_design_names_the_known_ones(self):
+        with pytest.raises(ValueError, match="unknown design 'wide'; known: single, multi"):
+            scenario("wide", (0.5, 0.5))
+
     def test_n_test_rounding(self):
-        spec = single_predictor_scenario(0.5, n=10, test_fraction=0.3)
+        spec = scenario("single", (0.5, 0.5), n=10, test_fraction=0.3)
         assert spec.n_test == 3
 
     def test_validation(self):
@@ -140,7 +143,7 @@ class TestScenarioSpec:
                 seed=0,
             )
         with pytest.raises(ValueError, match="test fraction"):
-            single_predictor_scenario(0.5, test_fraction=1.5)
+            scenario("single", (0.5, 0.5), test_fraction=1.5)
         with pytest.raises(ValueError, match="warp order must be an integer"):
             ScenarioSpec(
                 weights=SimplexWeights.of([0.5, 0.5]),
@@ -169,17 +172,17 @@ class TestScenarioSpec:
         # each bad size fails where the scenario is built, naming its field,
         # not later inside run_replications
         with pytest.raises(ValueError, match=message):
-            single_predictor_scenario(0.5, **size)
+            scenario("single", (0.5, 0.5), **size)
 
     def test_numpy_integer_sizes_read_as_int(self):
-        spec = single_predictor_scenario(0.5, n=np.int64(10), seed=np.uint8(3))
+        spec = scenario("single", (0.5, 0.5), n=np.int64(10), seed=np.uint8(3))
         assert (spec.n, spec.seed) == (10, 3)
         assert type(spec.n) is int and type(spec.seed) is int
 
 
 class TestGenerateDataset:
     def test_shapes_and_split(self):
-        spec = single_predictor_scenario(0.5, n=10, m=8, reps=1, seed=0)
+        spec = scenario("single", (0.5, 0.5), n=10, m=8, reps=1, seed=0)
         gen = generate_dataset(spec, np.random.default_rng(0), t=20)
         assert gen.train.n == 10 and gen.test.n == 3
         assert gen.train.p == 1
@@ -187,7 +190,7 @@ class TestGenerateDataset:
         assert gen.train.has_responses and gen.test.has_responses
 
     def test_deterministic_under_seed(self):
-        spec = multi_predictor_scenario(n=6, m=5, reps=1, seed=0)
+        spec = scenario("multi", (0.3, 0.35, 0.35), n=6, m=5, reps=1, seed=0)
         a = generate_dataset(spec, np.random.default_rng(9), t=15)
         b = generate_dataset(spec, np.random.default_rng(9), t=15)
         for sa, sb in zip(a.train.subjects, b.train.subjects):
@@ -196,7 +199,7 @@ class TestGenerateDataset:
                 assert np.array_equal(pa.values, pb.values)
 
     def test_truth_model_structure(self):
-        spec = multi_predictor_scenario(n=4, m=3, reps=1, seed=1)
+        spec = scenario("multi", (0.3, 0.35, 0.35), n=4, m=3, reps=1, seed=1)
         gen = generate_dataset(spec, np.random.default_rng(1), t=25)
         truth = gen.truth
         assert np.array_equal(truth.weights.values, spec.weights.values)
@@ -206,8 +209,8 @@ class TestGenerateDataset:
             assert np.allclose(T.values, sine_warp(k, truth.node_grid.nodes))
 
     def test_pure_intercept_degeneracy(self):
-        spec = single_predictor_scenario(
-            0.0, n=5, m=4, reps=1, seed=2, noise=NoiseSpec((0,))
+        spec = scenario(
+            "single", (1.0, 0.0), n=5, m=4, reps=1, seed=2, noise=NoiseSpec((0,))
         )
         gen = generate_dataset(spec, np.random.default_rng(2), t=30, exact=True)
         levels = gen.train.prob_grid.levels
@@ -231,14 +234,16 @@ class TestGenerateDataset:
             assert np.allclose(s.response.values, s.predictors[0].values, atol=1e-12)
 
     def test_exact_responses_match_truth_predictions(self):
-        spec = multi_predictor_scenario(n=5, m=3, reps=1, seed=4, noise=NoiseSpec((0,)))
+        spec = scenario(
+            "multi", (0.3, 0.35, 0.35), n=5, m=3, reps=1, seed=4, noise=NoiseSpec((0,))
+        )
         gen = generate_dataset(spec, np.random.default_rng(4), t=200, exact=True)
         for s in gen.train.subjects:
             pred = predict(gen.truth, s.predictors)
             assert wasserstein_distance(pred, s.response) < 2e-3
 
     def test_keep_samples(self):
-        spec = single_predictor_scenario(0.5, n=7, m=9, reps=1, seed=5)
+        spec = scenario("single", (0.5, 0.5), n=7, m=9, reps=1, seed=5)
         gen = generate_dataset(spec, np.random.default_rng(5), t=12)
         total = spec.n + spec.n_test
         assert gen.samples.predictors.shape == (total, 1, 9)
@@ -271,7 +276,7 @@ class TestMetrics:
 
 class TestRunReplications:
     def test_smoke_and_determinism(self):
-        spec = single_predictor_scenario(0.5, n=16, m=12, reps=2, seed=12)
+        spec = scenario("single", (0.5, 0.5), n=16, m=12, reps=2, seed=12)
         a = run_replications(spec, t=40)
         b = run_replications(spec, t=40)
         assert len(a.results) == 2 and a.t == 40
@@ -288,14 +293,14 @@ class TestRunReplications:
         }
 
     def test_zero_weight_map_excluded(self):
-        spec = single_predictor_scenario(1.0, n=12, m=10, reps=1, seed=6)
+        spec = scenario("single", (0.0, 1.0), n=12, m=10, reps=1, seed=6)
         summary = run_replications(spec, t=30)
         assert "map_err_0" not in summary.metrics
         assert summary.results[0].map_errs[0] is None
 
     def test_noiseless_recovery_study(self):
-        spec = single_predictor_scenario(
-            0.5, n=60, m=50, reps=1, seed=8, noise=NoiseSpec((0,))
+        spec = scenario(
+            "single", (0.5, 0.5), n=60, m=50, reps=1, seed=8, noise=NoiseSpec((0,))
         )
         summary = run_replications(spec, t=250)
         # the response law is noiseless but the measures are still observed
@@ -303,7 +308,9 @@ class TestRunReplications:
         assert summary.metrics["pred_seminorm_err"]["mean"] < 0.04
 
     def test_requires_test_subjects(self):
-        spec = single_predictor_scenario(0.5, n=8, m=5, reps=1, seed=0, test_fraction=0.0)
+        spec = scenario(
+            "single", (0.5, 0.5), n=8, m=5, reps=1, seed=0, test_fraction=0.0
+        )
         with pytest.raises(ValueError, match="test set"):
             run_replications(spec)
 
